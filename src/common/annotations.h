@@ -22,7 +22,7 @@
 //
 // WPRED_ATOMIC_PUBLISHED is NOT a Clang attribute: it marks a std::atomic
 // whose stores *publish* data other threads will read through it (a
-// released pointer, a left-right selector, a Chase-Lev index). The
+// released pointer, a left-right selector, a published list head). The
 // `atomics-order` lint pass flags any memory_order_relaxed operation on a
 // field so marked — relaxed ordering on a publication atomic is almost
 // always a bug — unless the line carries a

@@ -7,11 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <string>
 
 #include "common/check.h"
-#include "common/work_steal_deque.h"
 
 namespace wpred {
 
@@ -38,21 +35,6 @@ EnvThreadsParse ParseThreadsEnv(const char* value) {
   return {static_cast<int>(v), false};
 }
 
-EnvScheduleParse ParseScheduleEnv(const char* value) {
-  EnvScheduleParse parsed;
-  if (value == nullptr) return parsed;
-  parsed.present = true;
-  const std::string v(value);
-  if (v == "static") {
-    parsed.schedule = Schedule::kStatic;
-  } else if (v == "stealing") {
-    parsed.schedule = Schedule::kStealing;
-  } else {
-    parsed.rejected = true;
-  }
-  return parsed;
-}
-
 ChunkRange ChunkBounds(size_t n, size_t chunks, size_t c) {
   WPRED_DCHECK(chunks >= 1);
   WPRED_DCHECK(c < chunks);
@@ -72,10 +54,6 @@ namespace {
 
 std::atomic<bool> g_shared_created{false};
 std::atomic<int> g_default_override{0};   // 0 = no override
-std::atomic<int> g_schedule_override{-1};  // -1 = no override
-
-std::atomic<uint64_t> g_tasks_stolen{0};
-std::atomic<uint64_t> g_steal_failures{0};
 
 thread_local int tl_parallel_depth = 0;
 
@@ -98,18 +76,6 @@ int EnvDefaultThreads() {
   return HardwareDefaultThreads();
 }
 
-Schedule EnvDefaultSchedule() {
-  const char* env = std::getenv("WPRED_SCHEDULE");
-  const auto parsed = parallel_internal::ParseScheduleEnv(env);
-  if (parsed.rejected) {
-    std::fprintf(stderr,
-                 "wpred: ignoring invalid WPRED_SCHEDULE=\"%s\" (want "
-                 "\"static\" or \"stealing\"); using static\n",
-                 env);
-  }
-  return parsed.schedule;
-}
-
 }  // namespace
 
 int DefaultNumThreads() {
@@ -130,26 +96,7 @@ int ResolveNumThreads(int num_threads) {
   return std::min(num_threads, ThreadPool::kMaxWorkers);
 }
 
-Schedule DefaultSchedule() {
-  const int override = g_schedule_override.load(std::memory_order_relaxed);
-  if (override >= 0) return static_cast<Schedule>(override);
-  static const Schedule env_default = EnvDefaultSchedule();
-  return env_default;
-}
-
-void SetDefaultSchedule(Schedule schedule) {
-  g_schedule_override.store(static_cast<int>(schedule),
-                            std::memory_order_relaxed);
-}
-
-void ResetDefaultSchedule() {
-  g_schedule_override.store(-1, std::memory_order_relaxed);
-}
-
-StealCounters GlobalStealCounters() {
-  return {g_tasks_stolen.load(std::memory_order_relaxed),
-          g_steal_failures.load(std::memory_order_relaxed)};
-}
+StealCounters GlobalStealCounters() { return {}; }
 
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool = [] {
@@ -292,13 +239,8 @@ Status SerialFor(size_t n, const std::function<Status(size_t)>& fn) {
   return result;
 }
 
-}  // namespace
-
-namespace {
-
 // Lowest-index error wins: scanning chunk outcomes in order yields the
-// smallest failed index because chunks are contiguous and ascending — under
-// either schedule.
+// smallest failed index because chunks are contiguous and ascending.
 Status FirstFailure(std::vector<ChunkOutcome>& outcomes) {
   for (ChunkOutcome& outcome : outcomes) {
     if (outcome.failed) return std::move(outcome.status);
@@ -339,122 +281,24 @@ Status StaticFor(size_t n, size_t chunks,
   return FirstFailure(outcomes);
 }
 
-// Chunks per worker under Schedule::kStealing: enough slack that an unlucky
-// cost distribution can be rebalanced by theft, coarse enough that deque
-// traffic stays negligible next to the chunk bodies.
-constexpr size_t kStealChunksPerWorker = 8;
-
-Status StealingFor(size_t n, size_t workers,
-                   const std::function<Status(size_t)>& fn) {
-  const size_t chunks = std::min(n, workers * kStealChunksPerWorker);
-  const size_t roles = std::min(workers, chunks);
-  if (roles <= 1) return SerialFor(n, fn);
-
-  ThreadPool& pool = ThreadPool::Shared();
-  pool.EnsureWorkers(static_cast<int>(roles) - 1);
-
-  std::vector<ChunkOutcome> outcomes(chunks);
-  std::atomic<bool> abort{false};
-
-  // One deque per worker role, preloaded with a contiguous block of chunk
-  // ids. Chunks are pushed in descending order so the owner pops them in
-  // ascending order (walking its block front-to-back, like the static
-  // schedule would) while thieves take from the block's tail.
-  std::vector<std::unique_ptr<WorkStealDeque>> deques(roles);
-  for (size_t r = 0; r < roles; ++r) {
-    const auto block = parallel_internal::ChunkBounds(chunks, roles, r);
-    deques[r] = std::make_unique<WorkStealDeque>(block.hi - block.lo);
-    for (size_t c = block.hi; c > block.lo; --c) {
-      const bool pushed = deques[r]->PushBottom(c - 1);
-      WPRED_DCHECK(pushed);
-      (void)pushed;  // capacity was sized to the block; cannot be full
-    }
-  }
-
-  const auto run_role = [&](size_t role) {
-    uint64_t stolen = 0;
-    uint64_t failures = 0;
-    size_t chunk = 0;
-    const auto run = [&](size_t c) {
-      const auto range = parallel_internal::ChunkBounds(n, chunks, c);
-      RunChunk(range.lo, range.hi, fn, abort, outcomes[c]);
-    };
-    for (;;) {
-      if (deques[role]->PopBottom(&chunk)) {
-        run(chunk);
-        continue;
-      }
-      // Own deque drained: sweep the other deques for work, retrying a
-      // victim while CAS races (not emptiness) keep the theft from landing.
-      bool progressed = false;
-      for (size_t v = 1; v < roles && !progressed; ++v) {
-        WorkStealDeque& victim = *deques[(role + v) % roles];
-        for (;;) {
-          const WorkStealDeque::Steal outcome = victim.StealTop(&chunk);
-          if (outcome == WorkStealDeque::Steal::kStolen) {
-            ++stolen;
-            run(chunk);
-            progressed = true;
-            break;
-          }
-          if (outcome == WorkStealDeque::Steal::kEmpty) break;
-          ++failures;  // kLost: a racing pop/steal won; the victim may
-                       // still hold work, so try it again.
-        }
-      }
-      // Every deque observed empty: all chunks are claimed (each by exactly
-      // one role); whoever claimed them finishes them before returning.
-      if (!progressed) break;
-    }
-    g_tasks_stolen.fetch_add(stolen, std::memory_order_relaxed);
-    g_steal_failures.fetch_add(failures, std::memory_order_relaxed);
-  };
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t pending = roles - 1;
-  for (size_t r = 1; r < roles; ++r) {
-    pool.Submit([&, r] {
-      run_role(r);
-      // Same lock-held notify as the static path: done_cv lives on the
-      // caller's stack.
-      std::lock_guard<std::mutex> lock(done_mu);
-      --pending;
-      done_cv.notify_one();
-    });
-  }
-  run_role(0);
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return pending == 0; });
-  }
-  return FirstFailure(outcomes);
-}
-
 }  // namespace
 
-Status ParallelFor(size_t n, int num_threads, Schedule schedule,
+Status ParallelFor(size_t n, int num_threads,
                    const std::function<Status(size_t)>& fn) {
   if (n == 0) return Status::OK();
   const size_t threads = static_cast<size_t>(ResolveNumThreads(num_threads));
   const size_t chunks = std::min(threads, n);
   // Serial fallback: one thread, or already inside a parallel region (nested
-  // parallelism would oversubscribe and gains nothing under either
-  // schedule). Touches no thread-pool code whatsoever.
+  // parallelism would oversubscribe and gains nothing). Touches no
+  // thread-pool code whatsoever.
   if (chunks <= 1 || parallel_internal::InParallelRegion()) {
     return SerialFor(n, fn);
   }
-  if (schedule == Schedule::kStealing) return StealingFor(n, threads, fn);
   return StaticFor(n, chunks, fn);
 }
 
-Status ParallelFor(size_t n, int num_threads,
-                   const std::function<Status(size_t)>& fn) {
-  return ParallelFor(n, num_threads, DefaultSchedule(), fn);
-}
-
 Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn) {
-  return ParallelFor(n, /*num_threads=*/0, DefaultSchedule(), fn);
+  return ParallelFor(n, /*num_threads=*/0, fn);
 }
 
 }  // namespace wpred

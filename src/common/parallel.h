@@ -16,12 +16,10 @@
 // Deterministic parallel-for substrate for the similarity and ML hot paths.
 //
 // The contract every caller relies on: outputs are **bit-identical to the
-// serial path at any thread count and under any schedule**. Three rules
-// make that hold:
-//   1. Deterministic decomposition — [0, n) is split into contiguous chunks
-//      decided purely by (n, num_threads, schedule); the *schedule* decides
-//      which thread runs which chunk (and when), never what a chunk
-//      computes.
+// serial path at any thread count**. Three rules make that hold:
+//   1. Deterministic decomposition — [0, n) is split into one contiguous
+//      chunk per worker, decided purely by (n, num_threads); which thread
+//      runs a chunk (and when) never changes what the chunk computes.
 //   2. Slot-indexed writes — every iteration writes only state owned by its
 //      index (a preallocated matrix cell, tree slot, fold slot); reductions
 //      happen after the join, in index order.
@@ -29,20 +27,8 @@
 //      `Rng::Fork(tag)` from a tag that depends only on the index, never on
 //      the executing thread or on draws made by sibling iterations.
 //
-// Two schedules exist behind the same API. Schedule::kStatic is the
-// original one-chunk-per-worker split — lowest overhead, best when per-item
-// cost is uniform. Schedule::kStealing splits the range into several small
-// chunks per worker, loads each worker's deque with a contiguous block, and
-// lets idle workers steal chunks from the top of busy workers' deques
-// (Chase-Lev; common/work_steal_deque.h) — the right shape when per-item
-// cost is wildly irregular, e.g. the early-abandoning DTW cascade where one
-// candidate costs microseconds and its neighbour milliseconds. Because
-// writes are slot-indexed and reductions run post-join in index order, the
-// two schedules produce identical bits; they differ only in wall-clock.
-//
 // `threads <= 1` (and any nested ParallelFor) runs the loop inline on the
-// calling thread and touches zero thread-pool code paths, under either
-// schedule.
+// calling thread and touches zero thread-pool code paths.
 
 namespace wpred {
 
@@ -59,41 +45,14 @@ void SetDefaultNumThreads(int n);
 /// default"; the result is always >= 1.
 int ResolveNumThreads(int num_threads);
 
-/// How ParallelFor distributes chunks over workers. Outputs are
-/// bit-identical under every schedule (slot-indexed writes, post-join
-/// reductions); the schedule only chooses wall-clock behaviour.
-enum class Schedule {
-  /// One contiguous chunk per worker, decided purely by (n, num_threads).
-  kStatic,
-  /// Chase-Lev work stealing over finer contiguous chunks: each worker owns
-  /// a deque preloaded with a block of chunks; idle workers steal from the
-  /// top of busy workers' deques. Wins when per-item cost is irregular.
-  kStealing,
-};
-
-/// Process-wide default schedule: the WPRED_SCHEDULE environment variable
-/// ("static" or "stealing", exact lowercase) when set and valid, otherwise
-/// Schedule::kStatic. Cached on first call; invalid values warn once on
-/// stderr and fall back to static.
-Schedule DefaultSchedule();
-
-/// Overrides DefaultSchedule() for the rest of the process (tests, CLI
-/// flags, benches comparing schedules).
-void SetDefaultSchedule(Schedule schedule);
-
-/// Drops any SetDefaultSchedule override, returning to the
-/// environment-derived default.
-void ResetDefaultSchedule();
-
-/// Process-lifetime work-stealing telemetry, accumulated by every
-/// Schedule::kStealing ParallelFor. The obs layer exports these (common
-/// never depends on obs); benches and tests read them directly.
+/// Work-stealing telemetry. ParallelFor has one static schedule and never
+/// steals, so every field is always zero; the type and GlobalStealCounters()
+/// are kept only because the end-to-end benchmark (bench_e2e/) still reports
+/// them as its `parallel.steals` field.
 struct StealCounters {
-  /// Chunks executed by a worker other than the one whose deque held them.
   uint64_t tasks_stolen = 0;
-  /// StealTop attempts that lost the top CAS to a racing pop or steal.
-  uint64_t steal_failures = 0;
 };
+/// Always returns {} (see StealCounters).
 StealCounters GlobalStealCounters();
 
 /// Lazily-created shared worker pool. Callers never use this directly —
@@ -172,18 +131,6 @@ struct EnvThreadsParse {
 /// reject: the intent — "many threads" — is clear.)
 EnvThreadsParse ParseThreadsEnv(const char* value);
 
-/// Outcome of parsing a WPRED_SCHEDULE env value.
-struct EnvScheduleParse {
-  Schedule schedule = Schedule::kStatic;
-  bool present = false;   // value was set (even if rejected)
-  bool rejected = false;  // present but neither "static" nor "stealing"
-};
-
-/// Strict parser for WPRED_SCHEDULE: exactly "static" or "stealing"
-/// (lowercase, no surrounding whitespace). Anything else present is
-/// rejected and the schedule defaults to kStatic.
-EnvScheduleParse ParseScheduleEnv(const char* value);
-
 /// One contiguous chunk of a statically-split range.
 struct ChunkRange {
   size_t lo = 0;
@@ -199,46 +146,34 @@ ChunkRange ChunkBounds(size_t n, size_t chunks, size_t c);
 
 }  // namespace parallel_internal
 
-/// Runs fn(i) for every i in [0, n) across at most `num_threads` workers
-/// under `schedule` (the calling thread always participates as worker 0).
-/// Returns OK when all iterations succeed. On failure, remaining iterations
-/// are drained (skipped, never cancelled mid-call) and the error with the
-/// lowest iteration index among those that ran is returned — under either
-/// schedule, because chunks are contiguous ascending ranges and outcomes
-/// are scanned in chunk order; with threads <= 1 this is exactly the first
-/// error in iteration order.
+/// Runs fn(i) for every i in [0, n) across at most `num_threads` workers,
+/// one contiguous chunk each (the calling thread always participates as
+/// worker 0). Returns OK when all iterations succeed. On failure, remaining
+/// iterations are drained (skipped, never cancelled mid-call) and the error
+/// with the lowest iteration index among those that ran is returned:
+/// chunks are contiguous ascending ranges and outcomes are scanned in chunk
+/// order. With threads <= 1 this is exactly the first error in iteration
+/// order.
 ///
 /// `num_threads < 1` means DefaultNumThreads(). fn must confine its writes
 /// to state owned by index i and must not throw.
-Status ParallelFor(size_t n, int num_threads, Schedule schedule,
-                   const std::function<Status(size_t)>& fn);
-
-/// ParallelFor with the process-default schedule (WPRED_SCHEDULE).
 Status ParallelFor(size_t n, int num_threads,
                    const std::function<Status(size_t)>& fn);
 
-/// ParallelFor with the process-default thread count and schedule.
+/// ParallelFor with the process-default thread count.
 Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn);
 
 /// Maps fn : index -> Result<T> over [0, n) into a preallocated vector with
 /// slot-indexed writes (ParallelFor's determinism and error semantics).
 template <typename T, typename Fn>
-Result<std::vector<T>> ParallelMap(size_t n, int num_threads,
-                                   Schedule schedule, Fn&& fn) {
+Result<std::vector<T>> ParallelMap(size_t n, int num_threads, Fn&& fn) {
   std::vector<T> out(n);
-  Status st = ParallelFor(n, num_threads, schedule, [&](size_t i) -> Status {
+  Status st = ParallelFor(n, num_threads, [&](size_t i) -> Status {
     WPRED_ASSIGN_OR_RETURN(out[i], fn(i));
     return Status::OK();
   });
   if (!st.ok()) return st;
   return out;
-}
-
-/// ParallelMap with the process-default schedule.
-template <typename T, typename Fn>
-Result<std::vector<T>> ParallelMap(size_t n, int num_threads, Fn&& fn) {
-  return ParallelMap<T>(n, num_threads, DefaultSchedule(),
-                        std::forward<Fn>(fn));
 }
 
 }  // namespace wpred

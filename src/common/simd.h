@@ -21,54 +21,31 @@
 //    row): each output element is one fixed expression of its inputs, so
 //    the result is bit-identical however the loop is scheduled. Exact DTW
 //    distances are built only from these (plus exact min), which is why
-//    the engine's top-k stays bit-identical with SIMD on or off.
+//    the wavefront DTW equals the textbook row-order loop bitwise.
 //
 //  - Reduction kernels (SquaredL2, Dot, EnvelopeGapSq, MinValue/MaxValue):
-//    the vector path sums into kLanes independent accumulators and reduces
-//    them in one fixed order, so any one mode is deterministic, but the
-//    vector and scalar modes may differ in the last ulp (float addition is
-//    not associative; min/max reductions ARE exact). wpred only uses these
-//    for lower bounds and diagnostics — quantities whose value may change
-//    pruning work but never query results.
+//    each sums into kLanes independent accumulators and reduces them in one
+//    fixed order, so the result is deterministic, but it may differ from a
+//    sequential loop in the last ulp (float addition is not associative;
+//    min/max reductions ARE exact). wpred only uses these for lower bounds
+//    and diagnostics — quantities whose value may change pruning work but
+//    never query results.
 //
-// The scalar fallback is selectable at runtime (`WPRED_SIMD=off`, or
-// SetEnabled(false) in tests/benches) and reproduces the pre-SIMD
-// sequential loops, so A/B runs can attribute speedups to the lane
-// structure alone.
+// There is one implementation of each kernel. The sequential loops that
+// pin these contracts live in tests/reference_kernels.h, test-only.
 
 namespace wpred {
 namespace simd {
 
-/// Lane count of the vectorized paths. Eight doubles: one AVX-512 register,
+/// Lane count of the lane-split paths. Eight doubles: one AVX-512 register,
 /// two AVX2 registers, four NEON registers — wide enough that the compiler
 /// can unroll into whatever the target offers, small enough that the tail
 /// loop stays negligible for wpred's typical span lengths (tens to a few
 /// thousand).
 inline constexpr size_t kLanes = 8;
 
-/// Whether the vectorized paths are active (default on; `WPRED_SIMD=off`
-/// or SetEnabled(false) selects the sequential reference loops). Never
-/// changes query results — only which bit-identical (elementwise) or
-/// last-ulp-equivalent (reduction) code path runs.
-bool Enabled();
-
-/// Process-wide override for tests and A/B benches; thread-safe, but flip
-/// it only between queries — kernels sample the switch per call.
-void SetEnabled(bool on);
-
-/// Drops the SetEnabled override, returning to the WPRED_SIMD env default.
-void ResetEnabled();
-
-/// Σ (a[i] − b[i])². Reduction kernel (lane-split when enabled).
+/// Σ (a[i] − b[i])². Reduction kernel.
 inline double SquaredL2(const double* a, const double* b, size_t n) {
-  if (!Enabled()) {
-    double acc = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = a[i] - b[i];
-      acc += d * d;
-    }
-    return acc;
-  }
   double lane[kLanes] = {0.0};
   size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
@@ -87,13 +64,8 @@ inline double SquaredL2(const double* a, const double* b, size_t n) {
          tail;
 }
 
-/// Σ a[i]·b[i]. Reduction kernel (lane-split when enabled).
+/// Σ a[i]·b[i]. Reduction kernel.
 inline double Dot(const double* a, const double* b, size_t n) {
-  if (!Enabled()) {
-    double acc = 0.0;
-    for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-    return acc;
-  }
   double lane[kLanes] = {0.0};
   size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
@@ -110,18 +82,9 @@ inline double Dot(const double* a, const double* b, size_t n) {
 /// interval [lo[i], hi[i]] (zero inside). Branchless — exactly one of the
 /// two max() terms is nonzero per element when lo <= hi — so the compiler
 /// turns the body into maxpd/fma with no unpredictable branch, unlike the
-/// if/else ladder it replaces. Reduction kernel (lane-split when enabled).
+/// if/else ladder it replaces. Reduction kernel.
 inline double EnvelopeGapSq(const double* v, const double* lo,
                             const double* hi, size_t n) {
-  if (!Enabled()) {
-    double acc = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double above = std::max(v[i] - hi[i], 0.0);
-      const double below = std::max(lo[i] - v[i], 0.0);
-      acc += above * above + below * below;
-    }
-    return acc;
-  }
   double lane[kLanes] = {0.0};
   size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
@@ -142,10 +105,8 @@ inline double EnvelopeGapSq(const double* v, const double* lo,
          tail;
 }
 
-/// out[i] = min(a[i], b[i]). Elementwise (bit-identical in both modes; the
-/// split exists so A/B runs measure the lane path against a plain loop the
-/// compiler is told not to restructure differently). `out` must not alias
-/// a future read of `a`/`b` at a lower index (in-place out == a is fine).
+/// out[i] = min(a[i], b[i]). Elementwise. `out` must not alias a future
+/// read of `a`/`b` at a lower index (in-place out == a is fine).
 inline void PairMin(const double* a, const double* b, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = std::min(a[i], b[i]);
 }
@@ -189,7 +150,7 @@ inline void RelaxAntiDiag(const double* cost, const double* left,
 }
 
 /// min / max over a span. Exact reductions (min/max lose nothing to
-/// reassociation), so both modes agree bitwise.
+/// reassociation), so they equal a sequential loop bitwise.
 inline double MinValue(const double* a, size_t n) {
   double m = a[0];
   for (size_t i = 1; i < n; ++i) m = std::min(m, a[i]);
@@ -200,24 +161,6 @@ inline double MaxValue(const double* a, size_t n) {
   for (size_t i = 1; i < n; ++i) m = std::max(m, a[i]);
   return m;
 }
-
-namespace simd_internal {
-
-/// Outcome of parsing a WPRED_SIMD env value. Exposed so the rejection
-/// paths are unit-testable without mutating the process environment
-/// (mirrors parallel_internal::ParseScheduleEnv).
-struct EnvSimdParse {
-  bool enabled = true;    // the default: vector paths on
-  bool present = false;   // value was set (even if rejected)
-  bool rejected = false;  // present but neither "on" nor "off"
-};
-
-/// Strict parser for WPRED_SIMD: exactly "on" or "off" (lowercase, no
-/// surrounding whitespace). Anything else present is rejected with a
-/// stderr warning at first use and the default (on) applies.
-EnvSimdParse ParseSimdEnv(const char* value);
-
-}  // namespace simd_internal
 
 }  // namespace simd
 }  // namespace wpred

@@ -34,13 +34,10 @@ Json HistogramToJson(const Histogram& h) {
 
 Json PoolToJson() {
   Json out = Json::Object();
-  const StealCounters steals = GlobalStealCounters();
   if (!ThreadPool::SharedCreated()) {
     out.Set("workers", 0);
     out.Set("tasks_submitted", 0);
     out.Set("tasks_executed", 0);
-    out.Set("tasks_stolen", steals.tasks_stolen);
-    out.Set("steal_failures", steals.steal_failures);
     out.Set("busy_seconds", Json::Array());
     return out;
   }
@@ -48,8 +45,6 @@ Json PoolToJson() {
   out.Set("workers", pool.workers());
   out.Set("tasks_submitted", pool.tasks_submitted());
   out.Set("tasks_executed", pool.tasks_executed());
-  out.Set("tasks_stolen", steals.tasks_stolen);
-  out.Set("steal_failures", steals.steal_failures);
   Json busy = Json::Array();
   for (const double seconds : pool.WorkerBusySeconds()) {
     busy.Append(seconds);

@@ -32,24 +32,32 @@ void EmitDtwCounters(size_t cells_in_band, size_t m, size_t n) {
   WPRED_COUNT_ADD("similarity.dtw.cells_total", SaturatingCells(m, n));
 }
 
-// Vectorized DTW: wavefront over anti-diagonals. Every cell (i, j) on
+// Generic banded DTW over a cost policy; O(m·n) time, O(m + n) space,
+// evaluated as a wavefront over anti-diagonals. Every cell (i, j) on
 // anti-diagonal d = i + j depends only on diagonals d−1 (up, left) and d−2
-// (diagonal move), so the whole band slice of a diagonal is one
-// independent elementwise pass — no serial min chain, unlike the row-order
+// (diagonal move), so the whole band slice of a diagonal is one independent
+// elementwise pass — no serial min chain, unlike the textbook row-order
 // recurrence, whose loop-carried `curr[j-1]` dependency caps it at scalar
 // speed no matter how the cost fill vectorizes.
 //
-// Bit-level contract with the row-order reference (DtwCoreScalar): each
-// cell's value is cost + an exact three-way min of the same three cells,
-// and FillDiag accumulates features in the same order Cell does, so both
-// modes produce the bit-identical lattice; a completed distance can never
-// differ across modes (pinned by SimdTest). Early-abandon GRANULARITY does
-// differ — the scalar loop tests per-row minima, the wavefront per-pair-of-
-// diagonals (a warping path can skip one diagonal via a diagonal step, but
-// never two) — so the two modes may abandon the same doomed candidate at
-// different points, or one may complete it. Either way the completed
-// distance is then >= the cutoff, which is all any caller uses the abandon
-// signal for, so ranking results stay bit-identical (also pinned).
+// Threads a best-so-far `cutoff` (in distance space) through the band:
+// when every in-band cell on two consecutive anti-diagonals is >= cutoff²,
+// no completion can beat the cutoff and the rest is abandoned (a warping
+// path can skip one diagonal via a diagonal step, but never two). cutoff =
+// +inf reproduces plain DTW.
+//
+// Bit-level contract with the row-order loop (the test-only oracle in
+// tests/reference_kernels.h): each cell's value is cost + an exact
+// three-way min of the same three cells, and FillDiag accumulates features
+// in ascending order, so both produce the bit-identical lattice and every
+// completed distance is equal. Abandon granularity differs — the row loop
+// tests per-row minima — so the two may abandon the same doomed candidate
+// at different points, or one may complete it; the completed distance is
+// then >= the cutoff, which is all any caller uses the abandon signal for.
+//
+// The policy provides FillDiag(i0, j0, count, out): the squared cell costs
+// of one anti-diagonal's contiguous band slice, walking i0 forward and j0
+// backward.
 //
 // Buffer discipline: three rolling diagonals indexed by i, written only on
 // [i_lo, i_hi] each step plus one kInf guard on each side. i_lo and i_hi
@@ -57,10 +65,23 @@ void EmitDtwCounters(size_t cells_in_band, size_t m, size_t n) {
 // (diag d reads d−1 on [i_lo−1, i_hi] and d−2 on [i_lo−1, i_hi−1]) lands
 // in the previous writes or their guards, never on a stale cell from an
 // older diagonal.
+//
+// Metrics are emitted only on success (including the abandoned outcome);
+// the unreachable-endpoint error path records nothing, so counters never
+// mix failed calls into band-hit rates.
 template <typename Cost>
-Result<DtwEarlyAbandon> DtwCoreWavefront(size_t m, size_t n, size_t band,
-                                         double cutoff, double cutoff_sq,
-                                         const Cost& cost) {
+Result<DtwEarlyAbandon> DtwCore(size_t m, size_t n, int window, double cutoff,
+                                const Cost& cost) {
+  if (m == 0 || n == 0) return Status::InvalidArgument("empty series");
+  // Sakoe-Chiba band centered on the diagonal. For unequal lengths the band
+  // must be at least |m - n| wide or the endpoint (m, n) is unreachable —
+  // the standard adjustment, so windowed DTW stays well-defined whenever the
+  // window admits the (stretched) diagonal.
+  const size_t len_diff = m > n ? m - n : n - m;
+  const size_t band =
+      window > 0 ? std::max(static_cast<size_t>(window), len_diff)
+                 : std::max(m, n);  // unbounded
+  const double cutoff_sq = cutoff < kInf ? cutoff * cutoff : kInf;
   std::vector<double> d2(m + 2, kInf);  // diagonal d-2
   std::vector<double> d1(m + 2, kInf);  // diagonal d-1
   std::vector<double> dc(m + 2, kInf);  // diagonal d (current)
@@ -104,79 +125,10 @@ Result<DtwEarlyAbandon> DtwCoreWavefront(size_t m, size_t n, size_t band,
   if (!std::isfinite(d1[m])) {
     return Status::InvalidArgument("window too narrow for series lengths");
   }
-  EmitDtwCounters(cells_in_band, m, n);
-  return DtwEarlyAbandon{std::sqrt(d1[m]), false};
-}
-
-// Generic DTW over a cost policy; O(m·n) time, O(m + n) space. Threads a
-// best-so-far `cutoff` (in distance space) through the band: when a whole
-// cross-section of the lattice (a row in the scalar reference, a pair of
-// anti-diagonals in the wavefront) is >= cutoff², no completion can beat
-// the cutoff and the rest is abandoned. cutoff = +inf reproduces plain DTW.
-//
-// The policy provides the squared cell cost two ways — Cell(i, j) for the
-// sequential reference loop, and FillDiag(i0, j0, count, out) walking i0
-// forward / j0 backward for one anti-diagonal's contiguous band slice.
-// With SIMD enabled the recurrence runs as a wavefront
-// (DtwCoreWavefront above); the scalar mode keeps the textbook row order.
-// Both modes produce bit-identical lattices, so the SIMD switch can never
-// change a completed distance (pinned by SimdTest); abandon points may
-// differ, which callers cannot observe in ranking results.
-//
-// Metrics are emitted only on success (including the abandoned outcome);
-// the unreachable-endpoint error path records nothing, so counters never
-// mix failed calls into band-hit rates.
-template <typename Cost>
-Result<DtwEarlyAbandon> DtwCore(size_t m, size_t n, int window, double cutoff,
-                                const Cost& cost) {
-  if (m == 0 || n == 0) return Status::InvalidArgument("empty series");
-  // Sakoe-Chiba band centered on the diagonal. For unequal lengths the band
-  // must be at least |m - n| wide or the endpoint (m, n) is unreachable —
-  // the standard adjustment, so windowed DTW stays well-defined whenever the
-  // window admits the (stretched) diagonal.
-  const size_t len_diff = m > n ? m - n : n - m;
-  const size_t band =
-      window > 0 ? std::max(static_cast<size_t>(window), len_diff)
-                 : std::max(m, n);  // unbounded
-  const double cutoff_sq = cutoff < kInf ? cutoff * cutoff : kInf;
-  if (simd::Enabled()) {
-    return DtwCoreWavefront(m, n, band, cutoff, cutoff_sq, cost);
-  }
-  std::vector<double> prev(n + 1, kInf);
-  std::vector<double> curr(n + 1, kInf);
-  prev[0] = 0.0;
-  size_t cells_in_band = 0;
-  for (size_t i = 1; i <= m; ++i) {
-    std::fill(curr.begin(), curr.end(), kInf);
-    const size_t j_lo = i > band ? i - band : 1;
-    const size_t j_hi = std::min(n, i + band);
-    cells_in_band += j_hi - j_lo + 1;
-    double row_min = kInf;
-    for (size_t j = j_lo; j <= j_hi; ++j) {
-      const double c = cost.Cell(i - 1, j - 1);
-      WPRED_DCHECK(!std::isnan(c)) << "NaN cell cost in DtwCore";
-      curr[j] = c + std::min({prev[j], curr[j - 1], prev[j - 1]});
-      row_min = std::min(row_min, curr[j]);
-    }
-    // cutoff_sq < inf keeps the unreachable-endpoint (all-inf row) case on
-    // the plain kernel's error path instead of reporting it as abandoned.
-    if (cutoff_sq < kInf && row_min >= cutoff_sq) {
-      // Every alignment prefix already costs >= cutoff²; cell costs are
-      // nonnegative, so no completion can finish below the cutoff.
-      EmitDtwCounters(cells_in_band, m, n);
-      WPRED_COUNT_ADD("similarity.dtw.abandoned_rows",
-                      static_cast<uint64_t>(m - i));
-      return DtwEarlyAbandon{cutoff, true};
-    }
-    std::swap(prev, curr);
-  }
-  if (!std::isfinite(prev[n])) {
-    return Status::InvalidArgument("window too narrow for series lengths");
-  }
   // Band-hit rate telemetry: cells_in_band / cells_total is the fraction of
   // the full m x n lattice the Sakoe-Chiba band actually visited.
   EmitDtwCounters(cells_in_band, m, n);
-  return DtwEarlyAbandon{std::sqrt(prev[n]), false};
+  return DtwEarlyAbandon{std::sqrt(d1[m]), false};
 }
 
 // Univariate squared-difference cost over contiguous spans.
@@ -184,33 +136,21 @@ struct SpanCost {
   const double* a;
   const double* b;
 
-  double Cell(size_t i, size_t j) const {
-    const double d = a[i] - b[j];
-    return d * d;
-  }
   void FillDiag(size_t i0, size_t j0, size_t count, double* out) const {
-    // 0 + d² is bit-exact d², so the accumulate form matches Cell.
+    // 0 + d² is bit-exact d², so the accumulate form is the plain d² cost.
     std::fill(out, out + count, 0.0);
     simd::AccumulateAntiDiagCost(a + i0, b + j0, out, count);
   }
 };
 
 // Dependent multivariate cost over column-major spans: cell cost is the
-// squared Euclidean row distance, accumulated feature-ascending in BOTH
-// entry points so the two modes sum in the identical order.
+// squared Euclidean row distance, accumulated feature-ascending (the order
+// the row-order oracle sums in, which keeps the two lattices bit-identical).
 struct DepColsCost {
   const double* a;
   const double* b;
   size_t m, n, features;
 
-  double Cell(size_t i, size_t j) const {
-    double acc = 0.0;
-    for (size_t f = 0; f < features; ++f) {
-      const double d = a[f * m + i] - b[f * n + j];
-      acc += d * d;
-    }
-    return acc;
-  }
   void FillDiag(size_t i0, size_t j0, size_t count, double* out) const {
     std::fill(out, out + count, 0.0);
     for (size_t f = 0; f < features; ++f) {

@@ -34,18 +34,19 @@ Result<double> IndependentDtwDistance(const Matrix& a, const Matrix& b,
 /// When `abandoned` is false, `distance` is the exact DTW distance —
 /// bit-identical to the plain kernel, because the cutoff only decides when
 /// to stop, never how cells are computed. When `abandoned` is true the
-/// kernel proved distance >= cutoff after some prefix of rows and skipped
-/// the rest of the lattice; `distance` is then a lower bound, not the true
+/// kernel proved distance >= cutoff after some prefix of the lattice and
+/// skipped the rest; `distance` is then a lower bound, not the true
 /// value, and must only be used to discard the candidate.
 struct DtwEarlyAbandon {
   double distance = 0.0;
   bool abandoned = false;
 };
 
-/// DtwDistance with a best-so-far cutoff: once every cell of a lattice row
-/// is >= cutoff² no alignment can finish below `cutoff` (cell costs are
-/// nonnegative), so the remaining rows are abandoned. `cutoff` = +inf never
-/// abandons and reproduces DtwDistance exactly.
+/// DtwDistance with a best-so-far cutoff: once every in-band cell on two
+/// consecutive anti-diagonals is >= cutoff² no alignment can finish below
+/// `cutoff` (every warping path crosses one of them and cell costs are
+/// nonnegative), so the rest of the lattice is abandoned. `cutoff` = +inf
+/// never abandons and reproduces DtwDistance exactly.
 Result<DtwEarlyAbandon> DtwDistanceEarlyAbandon(const Vector& a,
                                                 const Vector& b, int window,
                                                 double cutoff);
@@ -71,10 +72,9 @@ Result<DtwEarlyAbandon> IndependentDtwDistanceEarlyAbandon(const Matrix& a,
 // above. The similarity engine calls these directly against the sharded
 // corpus's column-major mirror (ShardedCorpus::col_data), so the hot loop
 // never copies a column per (candidate, feature) pair. The band recurrence
-// is restructured for vectorization when common/simd is enabled — cost-row
-// precompute, an elementwise pairwise-min pass, then the single
-// loop-carried chain — and stays bit-identical to the sequential per-cell
-// loop in either mode (min is exact; cell costs keep the same per-feature
+// runs as an anti-diagonal wavefront of elementwise common/simd passes and
+// stays bit-identical to the textbook row-order loop on every completed
+// distance (min is exact; cell costs keep the same per-feature
 // accumulation order). Inputs must be finite: the public wrappers
 // validate, the engine validates at Build/RankNeighbors.
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -39,32 +38,6 @@ double RowSquaredDistance(const Matrix& a, size_t ra, const Matrix& b,
   return acc;
 }
 
-// Lemire-style streaming min/max over one contiguous column: each index
-// enters and leaves each monotonic deque once, so the envelope costs
-// O(rows) regardless of the band width. The scalar reference algorithm.
-void EnvelopeColumnDeque(const double* col, size_t rows, size_t band,
-                         double* lower, double* upper) {
-  std::deque<size_t> max_q;
-  std::deque<size_t> min_q;
-  size_t next = 0;  // first row not yet offered to the deques
-  for (size_t i = 0; i < rows; ++i) {
-    const size_t hi = std::min(rows - 1, i + band);
-    while (next <= hi) {
-      const double v = col[next];
-      while (!max_q.empty() && col[max_q.back()] <= v) max_q.pop_back();
-      max_q.push_back(next);
-      while (!min_q.empty() && col[min_q.back()] >= v) min_q.pop_back();
-      min_q.push_back(next);
-      ++next;
-    }
-    const size_t lo = i > band ? i - band : 0;
-    while (max_q.front() < lo) max_q.pop_front();
-    while (min_q.front() < lo) min_q.pop_front();
-    upper[i] = col[max_q.front()];
-    lower[i] = col[min_q.front()];
-  }
-}
-
 // Scratch buffers for the van Herk / Gil-Werman envelope pass, hoisted so
 // one allocation serves every column of a series.
 struct EnvelopeScratch {
@@ -79,8 +52,9 @@ struct EnvelopeScratch {
 // spans at most two adjacent blocks and its extremum is
 // combine(suffix[i], prefix[i + 2·band]). Three comparisons per element,
 // no branches or deque churn, and the combine pass is elementwise. Exact —
-// only comparisons, no arithmetic — so it agrees with the deque up to the
-// sign of a zero (both return the true windowed extremum).
+// only comparisons, no arithmetic — so it agrees with the Lemire
+// monotonic-deque oracle (tests/reference_kernels.h) up to the sign of a
+// zero (both return the true windowed extremum).
 //
 // Requires band + 1 < rows (wider bands take the global min/max shortcut
 // in BuildEnvelopeColumns).
@@ -146,19 +120,11 @@ void BuildEnvelopeColumns(const Matrix& series, int window, double* lower,
     }
     return;
   }
-  if (simd::Enabled()) {
-    EnvelopeScratch scratch;
-    for (size_t f = 0; f < cols; ++f) {
-      load_column(f);
-      EnvelopeColumnVanHerk(col.data(), rows, band, scratch, lower + f * rows,
-                            upper + f * rows);
-    }
-  } else {
-    for (size_t f = 0; f < cols; ++f) {
-      load_column(f);
-      EnvelopeColumnDeque(col.data(), rows, band, lower + f * rows,
+  EnvelopeScratch scratch;
+  for (size_t f = 0; f < cols; ++f) {
+    load_column(f);
+    EnvelopeColumnVanHerk(col.data(), rows, band, scratch, lower + f * rows,
                           upper + f * rows);
-    }
   }
 }
 

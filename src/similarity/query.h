@@ -37,7 +37,7 @@
 // reach the heap and lose or win on the index tie-break there. The
 // surviving top-k — indices and distances — is therefore bit-identical to
 // a stable argsort of the exhaustive distance vector, at any thread count,
-// with the sketch tier on or off, and with SIMD on or off.
+// and with the sketch tier on or off.
 //
 // Norm and LCSS measures have no usable lower bound; for those the engine
 // degrades to an exact scan that still avoids materialising an n×n pairwise
@@ -214,9 +214,9 @@ class SimilarityQueryEngine {
                                               size_t k) const;
 
   /// Exact distances from `query` to every corpus entry, in corpus order
-  /// (parallel over corpus shards — the granularity the stealing schedule
-  /// balances — with slot-indexed writes, deterministic). The pipeline's
-  /// similarity-ranking stage uses this for its per-workload means.
+  /// (parallel over corpus shards with slot-indexed writes, deterministic).
+  /// The pipeline's similarity-ranking stage uses this for its per-workload
+  /// means.
   Result<Vector> Distances(const Matrix& query, int num_threads = 0) const;
 
   const std::vector<Matrix>& corpus() const { return corpus_.traces(); }
@@ -263,12 +263,11 @@ SeriesEnvelope BuildEnvelope(const Matrix& series, int window);
 
 /// BuildEnvelope into caller-owned column-major storage: writes
 /// series.size() doubles each at `lower`/`upper`, column f at offset
-/// f·rows — the layout EnvelopeSet and ShardedCorpus::col_data share. Two
-/// algorithms, selected by simd::Enabled(): a branch-light van Herk /
-/// Gil-Werman block prefix/suffix max that autovectorizes, and the Lemire
-/// monotonic-deque reference. Both compute the exact windowed min/max (no
-/// arithmetic, only comparisons), so their outputs are bitwise identical —
-/// pinned by SimdTest.
+/// f·rows — the layout EnvelopeSet and ShardedCorpus::col_data share. A
+/// branch-light van Herk / Gil-Werman block prefix/suffix max that
+/// autovectorizes; it computes the exact windowed min/max (no arithmetic,
+/// only comparisons), so it equals the Lemire monotonic-deque oracle
+/// bitwise — pinned by SimdTest.
 void BuildEnvelopeColumns(const Matrix& series, int window, double* lower,
                           double* upper);
 

@@ -19,8 +19,8 @@
 // envelope lookup is identical to the unsharded layout), and the corpus is
 // overlaid with contiguous fixed-width shards of `shard_traces` traces
 // (the last shard may be short). The similarity engine parallelises over
-// shards — the granularity ParallelFor's stealing schedule balances — and
-// the envelope cache stores one contiguous envelope block per shard.
+// shards, and the envelope cache stores one contiguous envelope block per
+// shard.
 
 namespace wpred {
 
@@ -42,8 +42,8 @@ class ShardedCorpus {
  public:
   /// Default shard width. Sized so a shard's representations plus their
   /// envelope block stay within a typical L2 while one shard is still
-  /// thousands of DTW lattice rows of work — coarse enough to amortise a
-  /// steal, fine enough to rebalance an irregular cascade.
+  /// thousands of DTW lattice rows of work, enough to amortise handing it
+  /// to a pool worker.
   static constexpr size_t kDefaultShardTraces = 64;
 
   ShardedCorpus() = default;

@@ -206,10 +206,10 @@ TEST(CsvTest, RejectsUnterminatedQuote) {
   EXPECT_FALSE(ParseCsv("a,\"unterminated").ok());
 }
 
-// Environment-knob parsers (WPRED_THREADS / WPRED_SCHEDULE). Both are
-// strict: a value either parses exactly or is rejected with a warning —
-// never silently reinterpreted. The deeper boundary/behaviour suites live
-// in parallel_test.cc; this pins the parser contracts themselves.
+// Environment-knob parser (WPRED_THREADS). It is strict: a value either
+// parses exactly or is rejected with a warning — never silently
+// reinterpreted. The deeper boundary/behaviour suites live in
+// parallel_test.cc; this pins the parser contract itself.
 
 TEST(EnvKnobTest, ThreadsParserIsStrict) {
   using parallel_internal::ParseThreadsEnv;
@@ -220,16 +220,6 @@ TEST(EnvKnobTest, ThreadsParserIsStrict) {
   for (const char* bad : {" 4", "+4", "0x4", "four", ""}) {
     EXPECT_TRUE(ParseThreadsEnv(bad).rejected) << "value: \"" << bad << "\"";
   }
-}
-
-TEST(EnvKnobTest, ScheduleParserAcceptsExactlyTwoNames) {
-  using parallel_internal::ParseScheduleEnv;
-  EXPECT_EQ(ParseScheduleEnv("static").schedule, Schedule::kStatic);
-  EXPECT_EQ(ParseScheduleEnv("stealing").schedule, Schedule::kStealing);
-  EXPECT_FALSE(ParseScheduleEnv("stealing").rejected);
-  EXPECT_TRUE(ParseScheduleEnv("greedy").rejected);
-  EXPECT_TRUE(ParseScheduleEnv("Static").rejected);
-  EXPECT_FALSE(ParseScheduleEnv(nullptr).present);
 }
 
 }  // namespace

@@ -318,39 +318,6 @@ TEST(LintRuleTest, LayeringEnforcesTheDag) {
       "layering"));
 }
 
-TEST(LintRuleTest, StealDequeConfinedToParallelSubstrate) {
-  // Including the deque header outside common/parallel fires.
-  EXPECT_TRUE(HasRule(
-      LintSource("src/ml/random_forest.cc",
-                 "#include \"common/work_steal_deque.h\"\n"),
-      "steal-deque"));
-  EXPECT_TRUE(HasRule(
-      LintSource("bench/bench_parallel_scaling.cc",
-                 "#include \"common/work_steal_deque.h\"\n"),
-      "steal-deque"));
-  // So does naming the type directly.
-  EXPECT_TRUE(HasRule(
-      LintSource("src/similarity/query.cc", "WorkStealDeque deque(8);\n"),
-      "steal-deque"));
-  // The substrate itself is licensed: the header, parallel.h, parallel.cc.
-  EXPECT_TRUE(LintSource("src/common/parallel.cc",
-                         "#include \"common/work_steal_deque.h\"\n"
-                         "WorkStealDeque deque(8);\n")
-                  .empty());
-  EXPECT_TRUE(LintSource("src/common/work_steal_deque.h",
-                         "class WorkStealDeque {};\n")
-                  .empty());
-  // Tests live outside the linted tree and may hammer the deque directly.
-  EXPECT_TRUE(LintSource("tests/parallel_test.cc",
-                         "#include \"common/work_steal_deque.h\"\n"
-                         "WorkStealDeque deque(8);\n")
-                  .empty());
-  // Comments and strings never fire.
-  EXPECT_TRUE(LintSource("src/ml/model.cc",
-                         "// WorkStealDeque is confined to common/parallel\n")
-                  .empty());
-}
-
 // --- guarded-field --------------------------------------------------------
 
 TEST(LintRuleTest, GuardedFieldNeedsTheDeclaredMutex) {
@@ -471,17 +438,18 @@ TEST(LintRuleTest, AtomicsOrderMustBeExplicit) {
                   .empty());
 }
 
-TEST(LintRuleTest, AtomicFencesConfinedToTheStealDeque) {
+TEST(LintRuleTest, AtomicFencesFlaggedInEveryFile) {
   const std::string snippet =
       "#include <atomic>\n"
       "void f() {\n"
       "  std::atomic_thread_fence(std::memory_order_seq_cst);\n"
       "}\n";
-  EXPECT_TRUE(
-      HasRule(LintSource("src/serve/box.cc", snippet), "atomics-order"));
-  EXPECT_FALSE(
-      HasRule(LintSource("src/common/work_steal_deque.h", snippet),
-              "atomics-order"));
+  // No file is exempt: the parallel substrate and the rest of common/ are
+  // held to the same rule as everything else.
+  for (const char* path : {"src/serve/box.cc", "src/common/parallel.cc",
+                           "src/common/parallel.h", "src/common/mutex.h"}) {
+    EXPECT_TRUE(HasRule(LintSource(path, snippet), "atomics-order")) << path;
+  }
 }
 
 TEST(LintRuleTest, RelaxedLoadOnPublishedFieldFlagged) {
@@ -650,7 +618,7 @@ TEST(LintRuleTest, SuppressionSilencesExactlyTheNamedRule) {
 
 TEST(LintMetaTest, EveryRuleHasADescription) {
   const std::vector<std::string> rules = RuleNames();
-  EXPECT_EQ(rules.size(), 12u);
+  EXPECT_EQ(rules.size(), 11u);
   for (const std::string& rule : rules) {
     EXPECT_FALSE(RuleDescription(rule).empty()) << rule;
   }

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,11 @@ struct ModelCase {
   std::function<std::unique_ptr<Regressor>()> make;
   double max_nrmse;  // tolerated training NRMSE on clean linear data
 };
+
+// Without this, gtest lists each case as a raw byte dump of ModelCase, which
+// holds heap pointers; gtest_discover_tests copies that dump into the ctest
+// name, so the names changed with every build under ASLR.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
 
 class RegressorProperty : public ::testing::TestWithParam<ModelCase> {
  protected:

@@ -4,21 +4,17 @@
 // fallback that touches zero thread-pool code.
 
 #include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/work_steal_deque.h"
 #include "featsel/wrapper.h"
 #include "ml/cross_validation.h"
 #include "ml/metrics.h"
@@ -406,43 +402,6 @@ TEST(ThreadsEnvParseTest, StrtolLeniencyIsRejected) {
   EXPECT_TRUE(ParseThreadsEnv("0x10").rejected);
 }
 
-TEST(ScheduleEnvParseTest, ExactNamesOnly) {
-  using parallel_internal::ParseScheduleEnv;
-  const auto unset = ParseScheduleEnv(nullptr);
-  EXPECT_FALSE(unset.present);
-  EXPECT_FALSE(unset.rejected);
-  EXPECT_EQ(unset.schedule, Schedule::kStatic);
-
-  const auto st = ParseScheduleEnv("static");
-  EXPECT_TRUE(st.present);
-  EXPECT_FALSE(st.rejected);
-  EXPECT_EQ(st.schedule, Schedule::kStatic);
-
-  const auto steal = ParseScheduleEnv("stealing");
-  EXPECT_TRUE(steal.present);
-  EXPECT_FALSE(steal.rejected);
-  EXPECT_EQ(steal.schedule, Schedule::kStealing);
-
-  for (const char* bad :
-       {"", "Static", "STEALING", " static", "stealing ", "steal", "1"}) {
-    const auto parsed = ParseScheduleEnv(bad);
-    EXPECT_TRUE(parsed.present) << "value: \"" << bad << "\"";
-    EXPECT_TRUE(parsed.rejected) << "value: \"" << bad << "\"";
-    EXPECT_EQ(parsed.schedule, Schedule::kStatic) << "value: \"" << bad << "\"";
-  }
-}
-
-TEST(ScheduleConfigTest, OverrideAndReset) {
-  ResetDefaultSchedule();
-  const Schedule env_default = DefaultSchedule();
-  SetDefaultSchedule(Schedule::kStealing);
-  EXPECT_EQ(DefaultSchedule(), Schedule::kStealing);
-  SetDefaultSchedule(Schedule::kStatic);
-  EXPECT_EQ(DefaultSchedule(), Schedule::kStatic);
-  ResetDefaultSchedule();
-  EXPECT_EQ(DefaultSchedule(), env_default);
-}
-
 TEST(ChunkBoundsTest, PartitionsExactly) {
   using parallel_internal::ChunkBounds;
   for (const auto& [n, chunks] : std::vector<std::pair<size_t, size_t>>{
@@ -484,325 +443,6 @@ TEST(ChunkBoundsTest, NoOverflowNearSizeMax) {
     prev_hi = range.hi;
   }
   EXPECT_EQ(prev_hi, n);
-}
-
-// --- Work-stealing schedule: same contract as static, plus the deque. ---
-
-// Restores the process default schedule on scope exit so a failing test
-// cannot leak kStealing into unrelated tests.
-class ScheduleGuard {
- public:
-  explicit ScheduleGuard(Schedule schedule) { SetDefaultSchedule(schedule); }
-  ~ScheduleGuard() { ResetDefaultSchedule(); }
-};
-
-TEST(ParallelStealingTest, VisitsEveryIndexExactlyOnce) {
-  const size_t n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  ASSERT_TRUE(ParallelFor(n, kThreads, Schedule::kStealing,
-                          [&](size_t i) -> Status {
-                            hits[i].fetch_add(1, std::memory_order_relaxed);
-                            return Status::OK();
-                          })
-                  .ok());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelStealingTest, BitIdenticalAcrossSchedulesAndThreadCounts) {
-  // The determinism contract (DESIGN.md §7): outputs depend only on inputs,
-  // never on schedule or thread count. Compare every combination against
-  // the serial static baseline, bitwise.
-  auto run = [](Schedule schedule, int threads) {
-    return ParallelMap<double>(777, threads, schedule,
-                               [](size_t i) -> Result<double> {
-                                 // Irregular per-index cost and a value that
-                                 // would expose any index remapping.
-                                 double acc = 0.0;
-                                 const size_t reps = 1 + (i % 97);
-                                 for (size_t r = 0; r < reps; ++r) {
-                                   acc += std::sin(static_cast<double>(i + r));
-                                 }
-                                 return acc;
-                               });
-  };
-  const auto baseline = run(Schedule::kStatic, 1);
-  ASSERT_TRUE(baseline.ok());
-  for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-    for (const int threads : {1, 2, kThreads}) {
-      const auto out = run(schedule, threads);
-      ASSERT_TRUE(out.ok());
-      ASSERT_EQ(out->size(), baseline->size());
-      EXPECT_EQ(std::memcmp(out->data(), baseline->data(),
-                            baseline->size() * sizeof(double)),
-                0)
-          << "schedule=" << (schedule == Schedule::kStatic ? "static"
-                                                           : "stealing")
-          << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelStealingTest, FirstErrorWinsLowestRecordedChunk) {
-  // Same error contract as the static schedule: each chunk records its own
-  // first failure and the drain returns the lowest recorded chunk's status
-  // — never a fabricated one, never a crash. With two failing cells in
-  // different chunks the surfaced message must be one of them (which one
-  // depends on which chunk got past the abort flag, as under kStatic).
-  for (int round = 0; round < 4; ++round) {
-    const Status st = ParallelFor(
-        10000, kThreads, Schedule::kStealing, [&](size_t i) -> Status {
-          if (i == 3 || i == 9000) {
-            return Status::NumericalError("cell " + std::to_string(i));
-          }
-          return Status::OK();
-        });
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kNumericalError);
-    EXPECT_TRUE(st.message() == "cell 3" || st.message() == "cell 9000")
-        << "round " << round << ": " << st.message();
-  }
-}
-
-TEST(ParallelStealingTest, AllFailingReportsIndexZero) {
-  const Status st =
-      ParallelFor(4096, kThreads, Schedule::kStealing, [](size_t i) -> Status {
-        return Status::InvalidArgument("cell " + std::to_string(i));
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.message(), "cell 0");
-}
-
-TEST(ParallelStealingTest, ErrorDrainUnderTheft) {
-  // Index 0 fails while its owner stalls, so by the time the failure is
-  // recorded other workers have stolen and run chunks from the same deque.
-  // The drain must still return cell 0's status and every started chunk
-  // must finish before ParallelFor returns (no lost writes).
-  std::vector<std::atomic<int>> hits(2048);
-  for (auto& h : hits) h.store(0);
-  const Status st = ParallelFor(
-      hits.size(), kThreads, Schedule::kStealing, [&](size_t i) -> Status {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-        if (i == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          return Status::NumericalError("cell 0");
-        }
-        return Status::OK();
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.message(), "cell 0");
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_LE(hits[i].load(), 1) << "index " << i << " ran twice";
-  }
-}
-
-TEST(ParallelStealingTest, StealsWhenOwnerStalls) {
-  // Chunk 0's owner sleeps on its first iteration; the other workers finish
-  // their own blocks and must lift the stalled owner's remaining chunks via
-  // the deque. Observable through the process-wide steal counters.
-  const uint64_t stolen_before = GlobalStealCounters().tasks_stolen;
-  std::atomic<int> visited{0};
-  ASSERT_TRUE(ParallelFor(4096, kThreads, Schedule::kStealing,
-                          [&](size_t i) -> Status {
-                            visited.fetch_add(1, std::memory_order_relaxed);
-                            if (i == 0) {
-                              std::this_thread::sleep_for(
-                                  std::chrono::milliseconds(50));
-                            }
-                            return Status::OK();
-                          })
-                  .ok());
-  EXPECT_EQ(visited.load(), 4096);
-  EXPECT_GT(GlobalStealCounters().tasks_stolen, stolen_before);
-}
-
-TEST(ParallelStealingTest, DefaultScheduleKnobRoutesParallelFor) {
-  const ScheduleGuard guard(Schedule::kStealing);
-  const uint64_t stolen_before = GlobalStealCounters().tasks_stolen;
-  std::vector<int> hits(512, 0);
-  ASSERT_TRUE(ParallelFor(hits.size(), kThreads,
-                          [&](size_t i) -> Status {
-                            ++hits[i];
-                            if (i == 0) {
-                              std::this_thread::sleep_for(
-                                  std::chrono::milliseconds(30));
-                            }
-                            return Status::OK();
-                          })
-                  .ok());
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 512);
-  // The 3-arg overload picked up the stealing default: steals happened.
-  EXPECT_GT(GlobalStealCounters().tasks_stolen, stolen_before);
-}
-
-TEST(ParallelStealingTest, NestedCallsRunInline) {
-  const ScheduleGuard guard(Schedule::kStealing);
-  std::vector<int> totals(16, 0);
-  ASSERT_TRUE(ParallelFor(totals.size(), kThreads, [&](size_t i) -> Status {
-                int inner_sum = 0;
-                WPRED_RETURN_IF_ERROR(
-                    ParallelFor(10, kThreads, [&](size_t j) -> Status {
-                      inner_sum += static_cast<int>(j);
-                      return Status::OK();
-                    }));
-                totals[i] = inner_sum;
-                return Status::OK();
-              }).ok());
-  for (int t : totals) EXPECT_EQ(t, 45);
-}
-
-TEST(ParallelStealingDequeTest, OwnerPushPopLifo) {
-  WorkStealDeque deque(8);
-  EXPECT_TRUE(deque.Empty());
-  for (size_t v = 0; v < 8; ++v) EXPECT_TRUE(deque.PushBottom(v));
-  EXPECT_FALSE(deque.PushBottom(99));  // bounded: full
-  for (size_t expect = 8; expect-- > 0;) {
-    size_t got = 0;
-    ASSERT_TRUE(deque.PopBottom(&got));
-    EXPECT_EQ(got, expect);
-  }
-  size_t got = 0;
-  EXPECT_FALSE(deque.PopBottom(&got));
-  EXPECT_TRUE(deque.Empty());
-}
-
-TEST(ParallelStealingDequeTest, ThievesTakeOldestFirst) {
-  WorkStealDeque deque(8);
-  for (size_t v = 0; v < 4; ++v) ASSERT_TRUE(deque.PushBottom(v));
-  size_t got = 0;
-  ASSERT_EQ(deque.StealTop(&got), WorkStealDeque::Steal::kStolen);
-  EXPECT_EQ(got, 0u);  // FIFO from the top
-  ASSERT_EQ(deque.StealTop(&got), WorkStealDeque::Steal::kStolen);
-  EXPECT_EQ(got, 1u);
-  ASSERT_TRUE(deque.PopBottom(&got));
-  EXPECT_EQ(got, 3u);  // LIFO from the bottom
-  ASSERT_TRUE(deque.PopBottom(&got));
-  EXPECT_EQ(got, 2u);
-  EXPECT_EQ(deque.StealTop(&got), WorkStealDeque::Steal::kEmpty);
-}
-
-TEST(ParallelStealingDequeTest, ConcurrentTheftTakesEachItemOnce) {
-  // TSan regression for torn deque state: one owner popping its own bottom
-  // while several thieves hammer the top. Every pushed value must be taken
-  // exactly once across all participants, with no data race reported.
-  constexpr size_t kItems = 4096;
-  constexpr int kThieves = 4;
-  WorkStealDeque deque(kItems);
-  for (size_t v = 0; v < kItems; ++v) ASSERT_TRUE(deque.PushBottom(v));
-
-  std::vector<std::atomic<int>> taken(kItems);
-  for (auto& t : taken) t.store(0);
-  std::atomic<bool> start{false};
-
-  auto thief = [&]() {
-    while (!start.load(std::memory_order_acquire)) {
-    }
-    size_t item = 0;
-    while (true) {
-      const auto outcome = deque.StealTop(&item);
-      if (outcome == WorkStealDeque::Steal::kEmpty) break;
-      if (outcome == WorkStealDeque::Steal::kStolen) {
-        taken[item].fetch_add(1, std::memory_order_relaxed);
-      }  // kLost: raced another thief; retry
-    }
-  };
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) thieves.emplace_back(thief);
-
-  start.store(true, std::memory_order_release);
-  size_t item = 0;
-  while (deque.PopBottom(&item)) {
-    taken[item].fetch_add(1, std::memory_order_relaxed);
-  }
-  for (std::thread& t : thieves) t.join();
-
-  for (size_t v = 0; v < kItems; ++v) {
-    EXPECT_EQ(taken[v].load(), 1) << "item " << v;
-  }
-}
-
-// --- Cross-schedule determinism: the wired hot paths must produce
-// bit-identical results under {static, stealing} × {1, 2, 8} threads. ---
-
-TEST(ScheduleDeterminismTest, RandomForestBitIdentical) {
-  const LinearProblem p = MakeLinearProblem(150, 0.2, 42);
-  ForestParams base;
-  base.num_trees = 16;
-  base.num_threads = 1;
-  RandomForestRegressor baseline(base);
-  ASSERT_TRUE(baseline.Fit(p.x, p.y).ok());
-  for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-    const ScheduleGuard guard(schedule);
-    for (const int threads : {1, 2, kThreads}) {
-      ForestParams params = base;
-      params.num_threads = threads;
-      RandomForestRegressor forest(params);
-      ASSERT_TRUE(forest.Fit(p.x, p.y).ok());
-      for (size_t i = 0; i < p.x.rows(); ++i) {
-        EXPECT_EQ(baseline.Predict(p.x.Row(i)).value(),
-                  forest.Predict(p.x.Row(i)).value())
-            << "schedule=" << (schedule == Schedule::kStatic ? "static"
-                                                             : "stealing")
-            << " threads=" << threads << " row=" << i;
-      }
-    }
-  }
-}
-
-TEST(ScheduleDeterminismTest, CrossValidationBitIdentical) {
-  const LinearProblem p = MakeLinearProblem(90, 0.3, 7);
-  auto run = [&](int num_threads) {
-    Rng rng(11);
-    ForestParams fp;
-    fp.num_trees = 12;
-    fp.num_threads = 1;
-    return CrossValidateRegressor(
-        [&fp]() -> std::unique_ptr<Regressor> {
-          return std::make_unique<RandomForestRegressor>(fp);
-        },
-        p.x, p.y, /*k=*/5,
-        [](const Vector& t, const Vector& pr) { return Rmse(t, pr); }, rng,
-        num_threads);
-  };
-  const auto baseline = run(1);
-  ASSERT_TRUE(baseline.ok());
-  for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-    const ScheduleGuard guard(schedule);
-    for (const int threads : {2, kThreads}) {
-      const auto out = run(threads);
-      ASSERT_TRUE(out.ok());
-      ASSERT_EQ(out->fold_scores.size(), baseline->fold_scores.size());
-      for (size_t f = 0; f < baseline->fold_scores.size(); ++f) {
-        EXPECT_EQ(out->fold_scores[f], baseline->fold_scores[f])
-            << "fold " << f << " threads=" << threads;
-      }
-      EXPECT_EQ(out->mean_score, baseline->mean_score);
-    }
-  }
-}
-
-TEST(ScheduleDeterminismTest, SfsBitIdentical) {
-  const SelectionProblem p = MakeSelectionProblem(60, 22);
-  SfsSelector serial(WrapperEstimator::kDecisionTree, /*forward=*/true);
-  serial.set_num_threads(1);
-  const auto baseline = serial.ScoreFeatures(p.x, p.y);
-  ASSERT_TRUE(baseline.ok());
-  for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-    const ScheduleGuard guard(schedule);
-    for (const int threads : {2, kThreads}) {
-      SfsSelector selector(WrapperEstimator::kDecisionTree, /*forward=*/true);
-      selector.set_num_threads(threads);
-      const auto out = selector.ScoreFeatures(p.x, p.y);
-      ASSERT_TRUE(out.ok());
-      for (size_t f = 0; f < baseline->size(); ++f) {
-        EXPECT_EQ((*out)[f], (*baseline)[f])
-            << "feature " << f << " threads=" << threads;
-      }
-    }
-  }
 }
 
 TEST(ThreadsEnvParseTest, OverflowAndHugeValuesClampToMaxWorkers) {

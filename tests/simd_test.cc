@@ -1,8 +1,9 @@
-// Portable SIMD layer (common/simd.h): the mode switch must never change
-// query results. Elementwise kernels and min/max are bit-identical across
-// modes; reductions are per-mode deterministic and numerically equivalent;
-// DTW distances, envelopes, and the engine's top-k are bit-identical with
-// SIMD on or off.
+// Portable SIMD layer (common/simd.h) and the similarity kernels built on
+// it, each checked against its test-only oracle (reference_kernels.h).
+// Elementwise kernels and min/max are exact; reductions match the
+// sequential loops to within reassociation; completed DTW distances,
+// envelopes and the engine's top-k are bit-identical to the textbook
+// row-order DTW, the Lemire deque and an exhaustive argsort.
 
 #include <algorithm>
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "linalg/matrix.h"
+#include "reference_kernels.h"
 #include "similarity/dtw.h"
 #include "similarity/query.h"
 
@@ -22,13 +24,6 @@ namespace wpred {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Restores the env-derived default however a test exits.
-class ScopedSimdMode {
- public:
-  explicit ScopedSimdMode(bool on) { simd::SetEnabled(on); }
-  ~ScopedSimdMode() { simd::ResetEnabled(); }
-};
 
 Matrix RandomSeries(Rng& rng, size_t rows, size_t cols) {
   Matrix m(rows, cols);
@@ -54,38 +49,9 @@ std::vector<double> RandomSpan(Rng& rng, size_t n, double lo = -2.0,
   return v;
 }
 
-TEST(SimdTest, ParseSimdEnvIsStrict) {
-  using simd::simd_internal::ParseSimdEnv;
-  const auto unset = ParseSimdEnv(nullptr);
-  EXPECT_TRUE(unset.enabled);
-  EXPECT_FALSE(unset.present);
-  EXPECT_FALSE(unset.rejected);
-
-  const auto on = ParseSimdEnv("on");
-  EXPECT_TRUE(on.enabled);
-  EXPECT_TRUE(on.present);
-  EXPECT_FALSE(on.rejected);
-
-  const auto off = ParseSimdEnv("off");
-  EXPECT_FALSE(off.enabled);
-  EXPECT_TRUE(off.present);
-  EXPECT_FALSE(off.rejected);
-
-  // Anything else — including near-misses — is rejected and the default
-  // (on) applies, mirroring WPRED_SCHEDULE's strict parse.
-  for (const char* bad : {"", "ON", "Off", " on", "off ", "1", "0", "true",
-                          "false", "yes"}) {
-    const auto parsed = ParseSimdEnv(bad);
-    EXPECT_TRUE(parsed.enabled) << "\"" << bad << "\"";
-    EXPECT_TRUE(parsed.present) << "\"" << bad << "\"";
-    EXPECT_TRUE(parsed.rejected) << "\"" << bad << "\"";
-  }
-}
-
 TEST(SimdTest, ReductionKernelsMatchSequentialReference) {
-  // Reductions may differ from the scalar mode only by reassociation; both
-  // modes must agree with a plain reference loop to tight tolerance, and
-  // the scalar mode must equal it bitwise (it IS the sequential loop).
+  // The lane-split reductions may differ from the sequential oracle only by
+  // reassociation, so they must agree with it to tight tolerance.
   Rng rng(7);
   for (const size_t n : {0ul, 1ul, 3ul, 8ul, 9ul, 64ul, 333ul}) {
     const std::vector<double> a = RandomSpan(rng, n);
@@ -96,34 +62,17 @@ TEST(SimdTest, ReductionKernelsMatchSequentialReference) {
       hi[i] = std::max(a[i], b[i]) + rng.Uniform(0.0, 0.5);
     }
     const std::vector<double> v = RandomSpan(rng, n, -3.0, 3.0);
-    double ref_l2 = 0.0, ref_dot = 0.0, ref_gap = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = a[i] - b[i];
-      ref_l2 += d * d;
-      ref_dot += a[i] * b[i];
-      const double above = std::max(v[i] - hi[i], 0.0);
-      const double below = std::max(lo[i] - v[i], 0.0);
-      ref_gap += above * above + below * below;
-    }
-    for (const bool mode : {false, true}) {
-      ScopedSimdMode scoped(mode);
-      const double tol = 1e-12 * (1.0 + static_cast<double>(n));
-      EXPECT_NEAR(simd::SquaredL2(a.data(), b.data(), n), ref_l2, tol)
-          << "n=" << n << " mode=" << mode;
-      EXPECT_NEAR(simd::Dot(a.data(), b.data(), n), ref_dot, tol)
-          << "n=" << n << " mode=" << mode;
-      EXPECT_NEAR(simd::EnvelopeGapSq(v.data(), lo.data(), hi.data(), n),
-                  ref_gap, tol)
-          << "n=" << n << " mode=" << mode;
-    }
-    {
-      ScopedSimdMode scoped(false);
-      EXPECT_EQ(simd::SquaredL2(a.data(), b.data(), n), ref_l2) << "n=" << n;
-      EXPECT_EQ(simd::Dot(a.data(), b.data(), n), ref_dot) << "n=" << n;
-      EXPECT_EQ(simd::EnvelopeGapSq(v.data(), lo.data(), hi.data(), n),
-                ref_gap)
-          << "n=" << n;
-    }
+    const double tol = 1e-12 * (1.0 + static_cast<double>(n));
+    EXPECT_NEAR(simd::SquaredL2(a.data(), b.data(), n),
+                reference::SquaredL2(a.data(), b.data(), n), tol)
+        << "n=" << n;
+    EXPECT_NEAR(simd::Dot(a.data(), b.data(), n),
+                reference::Dot(a.data(), b.data(), n), tol)
+        << "n=" << n;
+    EXPECT_NEAR(simd::EnvelopeGapSq(v.data(), lo.data(), hi.data(), n),
+                reference::EnvelopeGapSq(v.data(), lo.data(), hi.data(), n),
+                tol)
+        << "n=" << n;
   }
 }
 
@@ -132,44 +81,41 @@ TEST(SimdTest, ElementwiseAndMinMaxKernelsAreExact) {
   for (const size_t n : {1ul, 7ul, 8ul, 65ul}) {
     const std::vector<double> a = RandomSpan(rng, n);
     const std::vector<double> b = RandomSpan(rng, n);
-    for (const bool mode : {false, true}) {
-      ScopedSimdMode scoped(mode);
-      std::vector<double> out(n);
-      simd::PairMin(a.data(), b.data(), out.data(), n);
-      std::vector<double> cost(n, 0.25);
-      simd::AccumulateRowCost(0.5, b.data(), cost.data(), n);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i], std::min(a[i], b[i])) << "i=" << i;
-        const double d = 0.5 - b[i];
-        EXPECT_EQ(cost[i], 0.25 + d * d) << "i=" << i;
-      }
-      EXPECT_EQ(simd::MinValue(a.data(), n),
-                *std::min_element(a.begin(), a.end()));
-      EXPECT_EQ(simd::MaxValue(a.data(), n),
-                *std::max_element(a.begin(), a.end()));
+    std::vector<double> out(n);
+    simd::PairMin(a.data(), b.data(), out.data(), n);
+    std::vector<double> cost(n, 0.25);
+    simd::AccumulateRowCost(0.5, b.data(), cost.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], std::min(a[i], b[i])) << "i=" << i;
+      const double d = 0.5 - b[i];
+      EXPECT_EQ(cost[i], 0.25 + d * d) << "i=" << i;
     }
+    EXPECT_EQ(simd::MinValue(a.data(), n),
+              *std::min_element(a.begin(), a.end()));
+    EXPECT_EQ(simd::MaxValue(a.data(), n),
+              *std::max_element(a.begin(), a.end()));
   }
 }
 
 TEST(SimdTest, DtwDistancesBitIdenticalAcrossModes) {
-  // The contract that makes the runtime switch safe: exact DTW distances
-  // are built only from elementwise kernels plus exact min, so completed
-  // distances must agree BITWISE across modes — including unequal lengths
-  // and every measure. Under a finite cutoff the two modes may ABANDON a
-  // doomed candidate at different points (the scalar loop tests per-row
-  // minima, the wavefront per-pair-of-diagonals), so when exactly one mode
-  // abandons, the other's completed distance must certify the same verdict:
-  // >= the cutoff. Rankings cannot tell these apart (strict > pruning with
-  // a one-ulp-bumped abandon cutoff), which TopKBitIdenticalAcrossModes
-  // pins end to end.
+  // Exact DTW distances are built only from elementwise kernels plus exact
+  // min, so every completed wavefront distance must equal the row-order
+  // oracle's BITWISE — including unequal lengths and both measures. Under
+  // a finite cutoff the two may ABANDON a doomed candidate at different
+  // points (the oracle tests per-row minima, the wavefront
+  // per-pair-of-diagonals), so when exactly one abandons, the other's
+  // completed distance must certify the same verdict: >= the cutoff.
+  // Rankings cannot tell these apart (strict > pruning with a one-ulp-
+  // bumped abandon cutoff), which TopKBitIdenticalAcrossModes pins end to
+  // end.
   Rng rng(23);
-  const auto expect_equivalent = [](const DtwEarlyAbandon& vec,
-                                    const DtwEarlyAbandon& sca, double cutoff,
+  const auto expect_equivalent = [](const DtwEarlyAbandon& wave,
+                                    const DtwEarlyAbandon& row, double cutoff,
                                     const std::string& what) {
-    if (vec.abandoned == sca.abandoned) {
-      EXPECT_EQ(vec.distance, sca.distance) << what;
+    if (wave.abandoned == row.abandoned) {
+      EXPECT_EQ(wave.distance, row.distance) << what;
     } else {
-      const DtwEarlyAbandon& completed = vec.abandoned ? sca : vec;
+      const DtwEarlyAbandon& completed = wave.abandoned ? row : wave;
       EXPECT_GE(completed.distance, cutoff) << what;
     }
   };
@@ -181,31 +127,25 @@ TEST(SimdTest, DtwDistancesBitIdenticalAcrossModes) {
     const Matrix b = RandomSeries(rng, n, d);
     for (const int window : {0, 2}) {
       for (const double cutoff : {kInf, 1.5, 0.4}) {
-        Result<DtwEarlyAbandon> dep_vec{DtwEarlyAbandon{}};
-        Result<DtwEarlyAbandon> dep_sca{DtwEarlyAbandon{}};
-        Result<DtwEarlyAbandon> ind_vec{DtwEarlyAbandon{}};
-        Result<DtwEarlyAbandon> ind_sca{DtwEarlyAbandon{}};
-        {
-          ScopedSimdMode scoped(true);
-          dep_vec = DependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
-          ind_vec = IndependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
-        }
-        {
-          ScopedSimdMode scoped(false);
-          dep_sca = DependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
-          ind_sca = IndependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
-        }
-        ASSERT_TRUE(dep_vec.ok() && dep_sca.ok() && ind_vec.ok() &&
-                    ind_sca.ok());
+        const Result<DtwEarlyAbandon> dep_wave =
+            DependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
+        const Result<DtwEarlyAbandon> ind_wave =
+            IndependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
+        const Result<DtwEarlyAbandon> dep_row =
+            reference::DependentDtw(a, b, window, cutoff);
+        const Result<DtwEarlyAbandon> ind_row =
+            reference::IndependentDtw(a, b, window, cutoff);
+        ASSERT_TRUE(dep_wave.ok() && dep_row.ok() && ind_wave.ok() &&
+                    ind_row.ok());
         const std::string what = "trial=" + std::to_string(trial) +
                                  " window=" + std::to_string(window) +
                                  " cutoff=" + std::to_string(cutoff);
-        expect_equivalent(*dep_vec, *dep_sca, cutoff, "dep " + what);
-        expect_equivalent(*ind_vec, *ind_sca, cutoff, "ind " + what);
+        expect_equivalent(*dep_wave, *dep_row, cutoff, "dep " + what);
+        expect_equivalent(*ind_wave, *ind_row, cutoff, "ind " + what);
         // With no cutoff there is no abandoning and no wiggle room at all.
         if (cutoff == kInf) {
-          EXPECT_EQ(dep_vec->distance, dep_sca->distance) << what;
-          EXPECT_EQ(ind_vec->distance, ind_sca->distance) << what;
+          EXPECT_EQ(dep_wave->distance, dep_row->distance) << what;
+          EXPECT_EQ(ind_wave->distance, ind_row->distance) << what;
         }
       }
     }
@@ -214,35 +154,29 @@ TEST(SimdTest, DtwDistancesBitIdenticalAcrossModes) {
 
 TEST(SimdTest, EnvelopeVanHerkMatchesDequeBitwise) {
   // Both envelope algorithms compute the exact windowed min/max, so the
-  // vectorized van Herk pass must reproduce the Lemire deque bitwise at
-  // every row, window, and shape — including bands wider than the series.
+  // van Herk pass must reproduce the Lemire deque oracle at every row,
+  // window, and shape — including bands wider than the series.
   Rng rng(31);
   for (const size_t rows : {1ul, 2ul, 5ul, 17ul, 64ul}) {
     for (const size_t cols : {1ul, 3ul}) {
       const Matrix series = RandomSeries(rng, rows, cols);
       for (const int window :
            {0, 1, 2, 3, static_cast<int>(rows), static_cast<int>(rows) + 4}) {
-        std::vector<double> lo_vec(series.size()), hi_vec(series.size());
-        std::vector<double> lo_sca(series.size()), hi_sca(series.size());
-        {
-          ScopedSimdMode scoped(true);
-          query_internal::BuildEnvelopeColumns(series, window, lo_vec.data(),
-                                               hi_vec.data());
-        }
-        {
-          ScopedSimdMode scoped(false);
-          query_internal::BuildEnvelopeColumns(series, window, lo_sca.data(),
-                                               hi_sca.data());
-        }
-        EXPECT_EQ(lo_vec, lo_sca) << "rows=" << rows << " window=" << window;
-        EXPECT_EQ(hi_vec, hi_sca) << "rows=" << rows << " window=" << window;
-        // And both match the row-major reference builder.
-        const SeriesEnvelope reference =
+        std::vector<double> lo_vh(series.size()), hi_vh(series.size());
+        std::vector<double> lo_dq(series.size()), hi_dq(series.size());
+        query_internal::BuildEnvelopeColumns(series, window, lo_vh.data(),
+                                             hi_vh.data());
+        reference::BuildEnvelopeColumns(series, window, lo_dq.data(),
+                                        hi_dq.data());
+        EXPECT_EQ(lo_vh, lo_dq) << "rows=" << rows << " window=" << window;
+        EXPECT_EQ(hi_vh, hi_dq) << "rows=" << rows << " window=" << window;
+        // And both match the row-major builder.
+        const SeriesEnvelope envelope =
             query_internal::BuildEnvelope(series, window);
         for (size_t f = 0; f < cols; ++f) {
           for (size_t r = 0; r < rows; ++r) {
-            EXPECT_EQ(lo_vec[f * rows + r], reference.lower(r, f));
-            EXPECT_EQ(hi_vec[f * rows + r], reference.upper(r, f));
+            EXPECT_EQ(lo_vh[f * rows + r], envelope.lower(r, f));
+            EXPECT_EQ(hi_vh[f * rows + r], envelope.upper(r, f));
           }
         }
       }
@@ -252,36 +186,24 @@ TEST(SimdTest, EnvelopeVanHerkMatchesDequeBitwise) {
 
 TEST(SimdTest, TopKBitIdenticalAcrossModes) {
   // End to end: the engine's ranked results — indices and distances — must
-  // not depend on the SIMD mode, for either DTW measure, with the sketch
-  // tier on and off.
+  // equal an exhaustive argsort of the row-order oracle's distances, for
+  // either DTW measure, with the sketch tier on and off.
   const std::vector<Matrix> corpus = RandomCorpus(41, 24, 12, 3);
   Rng rng(42);
   const Matrix query = RandomSeries(rng, 12, 3);
   for (const char* measure : {"Dependent-DTW", "Independent-DTW"}) {
-    for (const int sketch_bins : {0, -1}) {
-      for (const int window : {0, 3}) {
-        std::vector<Neighbor> vec_ranked, sca_ranked;
-        {
-          ScopedSimdMode scoped(true);
-          const auto engine = SimilarityQueryEngine::Build(
-              corpus, measure, window, /*num_threads=*/2, /*shard_traces=*/5,
-              sketch_bins);
-          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-          const auto ranked = engine->RankNeighbors(query, 6);
-          ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-          vec_ranked = *ranked;
-        }
-        {
-          ScopedSimdMode scoped(false);
-          const auto engine = SimilarityQueryEngine::Build(
-              corpus, measure, window, /*num_threads=*/2, /*shard_traces=*/5,
-              sketch_bins);
-          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-          const auto ranked = engine->RankNeighbors(query, 6);
-          ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-          sca_ranked = *ranked;
-        }
-        EXPECT_EQ(vec_ranked, sca_ranked)
+    for (const int window : {0, 3}) {
+      const Result<std::vector<Neighbor>> expected =
+          reference::ExhaustiveTopK(corpus, query, measure, window, 6);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      for (const int sketch_bins : {0, -1}) {
+        const auto engine = SimilarityQueryEngine::Build(
+            corpus, measure, window, /*num_threads=*/2, /*shard_traces=*/5,
+            sketch_bins);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        const auto ranked = engine->RankNeighbors(query, 6);
+        ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+        EXPECT_EQ(*ranked, *expected)
             << measure << " sketch_bins=" << sketch_bins
             << " window=" << window;
       }

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "similarity/dtw.h"
@@ -456,24 +455,19 @@ TEST(SimilarityQueryTest, ShardedTopKBitIdenticalAcrossSchedules) {
   ASSERT_TRUE(engine.ok());
   const Result<std::vector<Neighbor>> baseline = engine->RankNeighbors(query, 6);
   ASSERT_TRUE(baseline.ok());
-  for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-    SetDefaultSchedule(schedule);
-    for (const int threads : {1, 2, 8}) {
-      const Result<SimilarityQueryEngine> rebuilt =
-          SimilarityQueryEngine::Build(corpus, "Independent-DTW", /*window=*/4,
-                                       threads, /*shard_traces=*/3);
-      ASSERT_TRUE(rebuilt.ok());
-      const Result<std::vector<Neighbor>> ranked =
-          rebuilt->RankNeighbors(query, 6);
-      ASSERT_TRUE(ranked.ok());
-      EXPECT_EQ(*ranked, *baseline) << "threads=" << threads;
-      const Result<Vector> distances = rebuilt->Distances(query, threads);
-      ASSERT_TRUE(distances.ok());
-      EXPECT_EQ(*distances, *engine->Distances(query))
-          << "threads=" << threads;
-    }
+  for (const int threads : {1, 2, 8}) {
+    const Result<SimilarityQueryEngine> rebuilt =
+        SimilarityQueryEngine::Build(corpus, "Independent-DTW", /*window=*/4,
+                                     threads, /*shard_traces=*/3);
+    ASSERT_TRUE(rebuilt.ok());
+    const Result<std::vector<Neighbor>> ranked =
+        rebuilt->RankNeighbors(query, 6);
+    ASSERT_TRUE(ranked.ok());
+    EXPECT_EQ(*ranked, *baseline) << "threads=" << threads;
+    const Result<Vector> distances = rebuilt->Distances(query, threads);
+    ASSERT_TRUE(distances.ok());
+    EXPECT_EQ(*distances, *engine->Distances(query)) << "threads=" << threads;
   }
-  ResetDefaultSchedule();
 }
 
 TEST(EnvelopeCacheTest, ConcurrentLookupAndBuildIsRaceFree) {

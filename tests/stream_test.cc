@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/workbench.h"
 #include "linalg/stats.h"
@@ -368,27 +367,21 @@ TEST(StreamAppendTest, AppendIsScheduleAndThreadCountInvariant) {
   Rng rng(32);
   const Matrix query = RandomSeries(rng, 8, 2);
   std::optional<Vector> reference;
-  for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
-    SetDefaultSchedule(schedule);
-    for (const int threads : {1, 2, 8}) {
-      Result<SimilarityQueryEngine> engine = SimilarityQueryEngine::Build(
-          {all.begin(), all.begin() + 5}, "Dependent-DTW", /*window=*/2,
-          threads, /*shard_traces=*/3);
-      ASSERT_TRUE(engine.ok());
-      ASSERT_TRUE(
-          engine->AppendTraces({all.begin() + 5, all.end()}, threads).ok());
-      const Result<Vector> distances = engine->Distances(query, threads);
-      ASSERT_TRUE(distances.ok());
-      if (!reference.has_value()) {
-        reference = *distances;
-      } else {
-        EXPECT_EQ(*distances, *reference)
-            << "schedule=" << static_cast<int>(schedule)
-            << " threads=" << threads;
-      }
+  for (const int threads : {1, 2, 8}) {
+    Result<SimilarityQueryEngine> engine = SimilarityQueryEngine::Build(
+        {all.begin(), all.begin() + 5}, "Dependent-DTW", /*window=*/2, threads,
+        /*shard_traces=*/3);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE(
+        engine->AppendTraces({all.begin() + 5, all.end()}, threads).ok());
+    const Result<Vector> distances = engine->Distances(query, threads);
+    ASSERT_TRUE(distances.ok());
+    if (!reference.has_value()) {
+      reference = *distances;
+    } else {
+      EXPECT_EQ(*distances, *reference) << "threads=" << threads;
     }
   }
-  ResetDefaultSchedule();
 }
 
 TEST(StreamAppendTest, AppendValidatesTraces) {

@@ -78,7 +78,7 @@ struct RuleInfo {
   const char* description;
 };
 
-constexpr std::array<RuleInfo, 12> kRules = {{
+constexpr std::array<RuleInfo, 11> kRules = {{
     {"nondeterminism",
      "wall-clock / libc-rand / random_device use outside common/rng breaks "
      "bit-reproducible runs"},
@@ -100,18 +100,13 @@ constexpr std::array<RuleInfo, 12> kRules = {{
     {"layering",
      "module includes must follow the dependency DAG (common depends on "
      "nothing, obs is leaf-only on common, no cycles)"},
-    {"steal-deque",
-     "the Chase-Lev deque (common/work_steal_deque.h) is internal to the "
-     "parallel substrate; everything else selects a Schedule and lets "
-     "common/parallel own the deque invariants"},
     {"guarded-field",
      "a field marked WPRED_GUARDED_BY(mu) may only be touched in scopes "
      "that hold mu (MutexLock, mu.Lock(), or a WPRED_REQUIRES(mu) method)"},
     {"atomics-order",
      "every atomic load/store/fetch_*/compare_exchange_* must name an "
-     "explicit std::memory_order; standalone fences live only in "
-     "work_steal_deque.h; relaxed on a WPRED_ATOMIC_PUBLISHED atomic needs "
-     "a rationale suppression"},
+     "explicit std::memory_order; no standalone fences; relaxed on a "
+     "WPRED_ATOMIC_PUBLISHED atomic needs a rationale suppression"},
     {"include-graph",
      "whole-tree include DAG: no cycles, no transitive reach outside a "
      "module's layering closure, no header that nothing includes"},
@@ -210,7 +205,6 @@ class RuleRunner {
       CheckNodiscardStatus(line, line_no);
       CheckBareDiscard(line, line_no);
       CheckLayering(line, line_no);
-      CheckStealDeque(line, line_no);
       CheckBareSuppression(line, line_no);
     }
   }
@@ -367,32 +361,6 @@ class RuleRunner {
       Report(line_no, "layering",
              ctx_.module + "/ must not depend on " + target_module +
                  "/ (allowed: see src/CMakeLists.txt link graph)");
-    }
-  }
-
-  // The only files licensed to touch the deque: its own header and the
-  // parallel substrate that wraps it behind the Schedule knob.
-  bool IsStealDequeImplementation() const {
-    return ctx_.root == "src" && ctx_.module == "common" &&
-           (ctx_.filename.rfind("parallel.", 0) == 0 ||
-            ctx_.filename == "work_steal_deque.h");
-  }
-
-  void CheckStealDeque(const internal::CodeLine& line, int line_no) {
-    if (!InLintedTree() || IsStealDequeImplementation()) return;
-    if (Suppressed(line, "steal-deque")) return;
-    if (internal::LocalIncludeTarget(line.raw) ==
-        "common/work_steal_deque.h") {
-      Report(line_no, "steal-deque",
-             "common/work_steal_deque.h is internal to the parallel "
-             "substrate; select Schedule::kStealing on ParallelFor instead");
-      return;
-    }
-    if (internal::ContainsIdentifier(line.code, "WorkStealDeque")) {
-      Report(line_no, "steal-deque",
-             "'WorkStealDeque' outside common/parallel — the deque's "
-             "memory-ordering invariants live in one place; select a "
-             "Schedule on ParallelFor instead");
     }
   }
 
@@ -1185,11 +1153,10 @@ void CheckConcurrency(const std::string& path, const FileContext& ctx,
     }
 
     // --- atomics-order ---------------------------------------------------
-    if (tok.text == "atomic_thread_fence" &&
-        ctx.filename != "work_steal_deque.h") {
+    if (tok.text == "atomic_thread_fence") {
       report(tok.line, "atomics-order",
-             "standalone atomic_thread_fence outside work_steal_deque.h — "
-             "attach the ordering to the operation that needs it");
+             "standalone atomic_thread_fence — attach the ordering to the "
+             "operation that needs it");
     }
     if (AtomicOps().count(tok.text) && i > 0 &&
         (toks[i - 1].text == "." || toks[i - 1].text == "->") && i + 1 < n &&
@@ -1469,7 +1436,7 @@ constexpr SelfTestCase kSelfTests[] = {
     {"layering-simd-ok", "src/similarity/dtw.cc",
      "#include \"common/simd.h\"\n#include \"similarity/query.h\"\n", nullptr,
      0},
-    {"layering-common-simd-upward", "src/common/simd.cc",
+    {"layering-common-simd-upward", "src/common/simd.h",
      "#include \"similarity/sketch.h\"\n", "layering", 1},
     {"layering-sketch-ok", "src/similarity/sketch.cc",
      "#include \"similarity/representation.h\"\n#include \"common/simd.h\"\n",
@@ -1494,18 +1461,6 @@ constexpr SelfTestCase kSelfTests[] = {
     {"layering-stream-ok", "src/stream/window.cc",
      "#include \"similarity/representation.h\"\n"
      "#include \"telemetry/feature_catalog.h\"\n",
-     nullptr, 0},
-    {"steal-deque-include", "src/ml/random_forest.cc",
-     "#include \"common/work_steal_deque.h\"\n", "steal-deque", 1},
-    {"steal-deque-identifier", "src/similarity/query.cc",
-     "#include \"common/parallel.h\"\nwpred::WorkStealDeque deque(8);\n",
-     "steal-deque", 2},
-    {"steal-deque-impl-ok", "src/common/parallel.cc",
-     "#include \"common/work_steal_deque.h\"\nWorkStealDeque deque(8);\n",
-     nullptr, 0},
-    {"steal-deque-comment-ok", "src/ml/random_forest.cc",
-     "// WorkStealDeque balances irregular trees via Schedule::kStealing\n"
-     "#include \"common/parallel.h\"\n",
      nullptr, 0},
     // --- guarded-field ---
     {"guarded-unlocked-write", "src/core/counter.cc",
@@ -1616,10 +1571,17 @@ constexpr SelfTestCase kSelfTests[] = {
      "      std::memory_order_acquire);\n"
      "}\n",
      nullptr, 0},
-    {"atomics-fence-outside-deque", "src/serve/box.cc",
+    {"atomics-fence", "src/serve/box.cc",
      "#include <atomic>\n"
      "void f() {\n"
      "  std::atomic_thread_fence(std::memory_order_seq_cst);\n"
+     "}\n",
+     "atomics-order", 3},
+    // No file is exempt, the parallel substrate included.
+    {"atomics-fence-in-common", "src/common/parallel.cc",
+     "#include <atomic>\n"
+     "void f() {\n"
+     "  std::atomic_thread_fence(std::memory_order_acquire);\n"
      "}\n",
      "atomics-order", 3},
     {"atomics-relaxed-on-published", "src/serve/box.cc",
