@@ -52,11 +52,12 @@ Status PipelineConfig::Validate() const {
                   "default); got %d",
                   num_threads));
   }
-  if (similarity_sketch_bins == 1) {
+  if (similarity_sketch_bins != 0 && similarity_sketch_bins < 2) {
     return Status::InvalidArgument(
-        "PipelineConfig::similarity_sketch_bins must be 0 (default), >= 2, "
-        "or negative (sketch tier disabled); a one-bin histogram can never "
-        "separate traces");
+        StrFormat("PipelineConfig::similarity_sketch_bins must be 0 "
+                  "(default) or >= 2; got %d (a histogram needs two bins to "
+                  "separate traces)",
+                  similarity_sketch_bins));
   }
   if (quality_gate) {
     if (!(quality.mad_outlier_threshold > 0.0) ||

@@ -44,9 +44,9 @@ struct PipelineConfig {
   size_t similarity_shard_traces = 0;
   /// Histogram width of the similarity engine's tier-0 sketch filter
   /// (similarity/sketch.h): 0 means TraceSketchSet::kDefaultBins, >= 2 is
-  /// honoured as-is, < 0 disables the sketch tier (the pre-sketch cascade).
-  /// 1 is rejected by Validate(). Only the DTW measures sketch; like the
-  /// shard width, the knob never changes results — only pruning effort.
+  /// honoured as-is; Validate() rejects anything else. Only the DTW
+  /// measures sketch; like the shard width, the knob never changes results
+  /// — only pruning effort.
   int similarity_sketch_bins = 0;
   /// Run the data-quality gate: Fit() repairs or quarantines dirty
   /// reference experiments; prediction repairs observed telemetry and falls
@@ -171,9 +171,8 @@ class Pipeline {
   }
 
   /// Effective tier-0 sketch histogram width of the fitted similarity
-  /// engine (0 before a successful Fit(), when the sketch tier is disabled,
-  /// or for non-DTW measures). Exported by serving snapshots alongside
-  /// reference_shards().
+  /// engine (0 before a successful Fit() or for non-DTW measures).
+  /// Exported by serving snapshots alongside reference_shards().
   int sketch_bins() const {
     return query_engine_.has_value() ? query_engine_->sketch_bins() : 0;
   }
@@ -229,7 +228,7 @@ class Pipeline {
   // degradation changes the feature set.
   ExperimentCorpus reference_corpus_;
   // Owns the reference representations (one per reference experiment) plus
-  // the envelope cache behind NearestReferences(); engaged by Fit().
+  // the envelopes and sketches behind NearestReferences(); engaged by Fit().
   std::optional<SimilarityQueryEngine> query_engine_;
   std::vector<std::string> reference_workloads_;
   // Scaling models keyed by (workload, terminals).

@@ -13,7 +13,7 @@
 // (DESIGN.md §11).
 //
 // A FittedSnapshot freezes everything a prediction needs — the fitted
-// Pipeline (models, similarity engine, envelope cache, feature ranking,
+// Pipeline (models, similarity engine and its envelopes, feature ranking,
 // normalisation, quality report) plus the exact (config, corpus) closure
 // that produced it. Snapshots are never mutated after construction; a refit
 // builds a brand-new one and publishes it atomically through SnapshotBox.

@@ -1,11 +1,8 @@
 #include "similarity/query.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
-#include <numeric>
 #include <utility>
 
 #include "common/parallel.h"
@@ -26,16 +23,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 bool NeighborLess(const Neighbor& a, const Neighbor& b) {
   if (a.distance != b.distance) return a.distance < b.distance;
   return a.index < b.index;
-}
-
-double RowSquaredDistance(const Matrix& a, size_t ra, const Matrix& b,
-                          size_t rb) {
-  double acc = 0.0;
-  for (size_t f = 0; f < a.cols(); ++f) {
-    const double d = a(ra, f) - b(rb, f);
-    acc += d * d;
-  }
-  return acc;
 }
 
 // Scratch buffers for the van Herk / Gil-Werman envelope pass, hoisted so
@@ -128,245 +115,67 @@ void BuildEnvelopeColumns(const Matrix& series, int window, double* lower,
   }
 }
 
-SeriesEnvelope BuildEnvelope(const Matrix& series, int window) {
-  const size_t rows = series.rows();
-  const size_t cols = series.cols();
-  std::vector<double> lower(series.size());
-  std::vector<double> upper(series.size());
-  BuildEnvelopeColumns(series, window, lower.data(), upper.data());
-  SeriesEnvelope envelope{Matrix(rows, cols), Matrix(rows, cols)};
-  for (size_t f = 0; f < cols; ++f) {
-    for (size_t r = 0; r < rows; ++r) {
-      envelope.lower(r, f) = lower[f * rows + r];
-      envelope.upper(r, f) = upper[f * rows + r];
-    }
-  }
-  return envelope;
-}
-
-double LbKimDependent(const Matrix& query, const Matrix& candidate) {
-  WPRED_DCHECK_EQ(query.cols(), candidate.cols());
-  WPRED_DCHECK(query.rows() > 0 && candidate.rows() > 0);
-  double acc = RowSquaredDistance(query, 0, candidate, 0);
-  if (query.rows() + candidate.rows() > 2) {
-    acc += RowSquaredDistance(query, query.rows() - 1, candidate,
-                              candidate.rows() - 1);
-  }
-  return std::sqrt(acc);
-}
-
-double LbKimIndependent(const Matrix& query, const Matrix& candidate) {
-  WPRED_DCHECK_EQ(query.cols(), candidate.cols());
-  WPRED_DCHECK(query.rows() > 0 && candidate.rows() > 0);
-  const bool distinct_endpoints = query.rows() + candidate.rows() > 2;
-  double total = 0.0;
-  for (size_t f = 0; f < query.cols(); ++f) {
-    const double first = query(0, f) - candidate(0, f);
-    double acc = first * first;
-    if (distinct_endpoints) {
-      const double last = query(query.rows() - 1, f) -
-                          candidate(candidate.rows() - 1, f);
-      acc += last * last;
-    }
-    total += std::sqrt(acc);
-  }
-  return total / static_cast<double>(query.cols());
-}
-
-double LbKeoghDependent(const Matrix& query, const SeriesEnvelope& envelope) {
-  WPRED_DCHECK_EQ(query.rows(), envelope.upper.rows());
-  WPRED_DCHECK_EQ(query.cols(), envelope.upper.cols());
-  double acc = 0.0;
-  for (size_t i = 0; i < query.rows(); ++i) {
-    for (size_t f = 0; f < query.cols(); ++f) {
-      const double v = query(i, f);
-      const double hi = envelope.upper(i, f);
-      const double lo = envelope.lower(i, f);
-      if (v > hi) {
-        const double d = v - hi;
-        acc += d * d;
-      } else if (v < lo) {
-        const double d = lo - v;
-        acc += d * d;
-      }
-    }
-  }
-  return std::sqrt(acc);
-}
-
-double LbKeoghIndependent(const Matrix& query, const SeriesEnvelope& envelope) {
-  WPRED_DCHECK_EQ(query.rows(), envelope.upper.rows());
-  WPRED_DCHECK_EQ(query.cols(), envelope.upper.cols());
-  double total = 0.0;
-  for (size_t f = 0; f < query.cols(); ++f) {
-    double acc = 0.0;
-    for (size_t i = 0; i < query.rows(); ++i) {
-      const double v = query(i, f);
-      const double hi = envelope.upper(i, f);
-      const double lo = envelope.lower(i, f);
-      if (v > hi) {
-        const double d = v - hi;
-        acc += d * d;
-      } else if (v < lo) {
-        const double d = lo - v;
-        acc += d * d;
-      }
-    }
-    total += std::sqrt(acc);
-  }
-  return total / static_cast<double>(query.cols());
-}
-
 }  // namespace query_internal
 
-EnvelopeCache::~EnvelopeCache() {
-  Node* node = head_.load(std::memory_order_acquire);
-  while (node != nullptr) {
-    Node* next = node->next;
-    delete node;
-    node = next;
-  }
+Status EnvelopeSet::Build(const ShardedCorpus& corpus, int window,
+                          int num_threads) {
+  blocks_.clear();
+  shard_traces_ = corpus.shard_traces();
+  window_ = window;
+  return BuildTail(corpus, 0, num_threads);
 }
 
-EnvelopeCache::EnvelopeCache(EnvelopeCache&& other) noexcept
-    : head_(other.head_.exchange(nullptr, std::memory_order_acq_rel)) {}
-
-EnvelopeCache& EnvelopeCache::operator=(EnvelopeCache&& other) noexcept {
-  if (this == &other) return *this;
-  Node* mine = head_.exchange(
-      other.head_.exchange(nullptr, std::memory_order_acq_rel),
-      std::memory_order_acq_rel);
-  while (mine != nullptr) {
-    Node* next = mine->next;
-    delete mine;
-    mine = next;
-  }
-  return *this;
-}
-
-const EnvelopeCache::Node* EnvelopeCache::Find(int window) const {
-  // Acquire on the head pairs with the release publish in GetOrBuild, so a
-  // reader that sees a node sees its fully-built EnvelopeSet; `next` links
-  // are immutable after publication.
-  for (const Node* node = head_.load(std::memory_order_acquire);
-       node != nullptr; node = node->next) {
-    if (node->window == window) return node;
-  }
-  return nullptr;
-}
-
-Result<const EnvelopeSet*> EnvelopeCache::GetOrBuild(
-    const ShardedCorpus& corpus, int window, int num_threads) {
-  if (const Node* hit = Find(window)) {
-    WPRED_COUNT_ADD("similarity.envelope.cache_hits", 1);
-    return &hit->set;
-  }
-  // Cold window: serialise the build, then re-check — a racing caller may
-  // have published this window while we waited for the lock.
-  MutexLock lock(build_mu_);
-  if (const Node* hit = Find(window)) {
-    WPRED_COUNT_ADD("similarity.envelope.cache_hits", 1);
-    return &hit->set;
-  }
-  WPRED_COUNT_ADD("similarity.envelope.cache_misses", 1);
-  EnvelopeSet set;
-  set.shard_traces_ = corpus.shard_traces();
-  set.blocks_.resize(corpus.num_shards());
-  WPRED_RETURN_IF_ERROR(
-      ParallelFor(corpus.num_shards(), num_threads, [&](size_t s) -> Status {
-        const CorpusShard shard = corpus.shard(s);
-        EnvelopeSet::Block& block = set.blocks_[s];
-        block.offsets.assign(shard.size(), 0);
-        size_t total = 0;
-        for (size_t i = shard.begin; i < shard.end; ++i) {
-          block.offsets[i - shard.begin] = total;
-          total += corpus[i].size();
-        }
-        block.lower.assign(total, 0.0);
-        block.upper.assign(total, 0.0);
-        for (size_t i = shard.begin; i < shard.end; ++i) {
-          const size_t off = block.offsets[i - shard.begin];
-          query_internal::BuildEnvelopeColumns(corpus[i], window,
-                                               block.lower.data() + off,
-                                               block.upper.data() + off);
-        }
-        return Status::OK();
-      }));
-  WPRED_COUNT_ADD("similarity.envelope.builds",
-                  static_cast<uint64_t>(corpus.size()));
-  Node* node = new Node;
-  node->window = window;
-  node->set = std::move(set);
-  // wpred-lint: allow(atomics-order): head_ is written only under build_mu_,
-  // held here — the relaxed load cannot miss a concurrent publish, and the
-  // release store below orders the whole node before readers can reach it.
-  node->next = head_.load(std::memory_order_relaxed);
-  head_.store(node, std::memory_order_release);
-  return &node->set;
-}
-
-Status EnvelopeCache::ExtendForAppend(const ShardedCorpus& corpus,
-                                      size_t old_size, int num_threads) {
+Status EnvelopeSet::ExtendForAppend(const ShardedCorpus& corpus,
+                                    size_t old_size, int num_threads) {
   WPRED_DCHECK_LE(old_size, corpus.size());
+  WPRED_DCHECK_EQ(shard_traces_, corpus.shard_traces());
   const size_t new_count = corpus.size() - old_size;
-  if (new_count == 0) return Status::OK();
-  // The build mutex serialises against concurrent GetOrBuild calls; readers
-  // must be quiescent (single-writer contract in the header).
-  MutexLock lock(build_mu_);
-  for (Node* node = head_.load(std::memory_order_acquire); node != nullptr;
-       node = node->next) {
-    EnvelopeSet& set = node->set;
-    WPRED_DCHECK_EQ(set.shard_traces_, corpus.shard_traces());
-    // Pre-size the tail blocks — extend the possibly part-filled last old
-    // shard and add new ones — so the parallel loop below only does
-    // slot-indexed writes (determinism discipline of DESIGN.md §7).
-    // Existing offsets and envelope data are untouched: appends only grow
-    // each block's arrays at the tail.
-    set.blocks_.resize(corpus.num_shards());
-    for (size_t s = corpus.shard_of(old_size == 0 ? 0 : old_size - 1);
-         s < corpus.num_shards(); ++s) {
-      const CorpusShard shard = corpus.shard(s);
-      EnvelopeSet::Block& block = set.blocks_[s];
-      const size_t old_local = block.offsets.size();
-      block.offsets.resize(shard.size());
-      size_t total =
-          old_local == 0
-              ? 0
-              : block.offsets[old_local - 1] +
-                    corpus[shard.begin + old_local - 1].size();
-      for (size_t t = old_local; t < shard.size(); ++t) {
-        block.offsets[t] = total;
-        total += corpus[shard.begin + t].size();
-      }
-      block.lower.resize(total, 0.0);
-      block.upper.resize(total, 0.0);
-    }
-    WPRED_RETURN_IF_ERROR(
-        ParallelFor(new_count, num_threads, [&](size_t j) -> Status {
-          const size_t i = old_size + j;
-          EnvelopeSet::Block& block = set.blocks_[i / set.shard_traces_];
-          const size_t off = block.offsets[i % set.shard_traces_];
-          query_internal::BuildEnvelopeColumns(corpus[i], node->window,
-                                               block.lower.data() + off,
-                                               block.upper.data() + off);
-          return Status::OK();
-        }));
-    WPRED_COUNT_ADD("similarity.envelope.builds",
-                    static_cast<uint64_t>(new_count));
-    WPRED_COUNT_ADD("similarity.envelope.appended",
-                    static_cast<uint64_t>(new_count));
-  }
+  if (new_count == 0) return Status::OK();  // empty append: strict no-op
+  WPRED_RETURN_IF_ERROR(BuildTail(corpus, old_size, num_threads));
+  WPRED_COUNT_ADD("similarity.envelope.appended",
+                  static_cast<uint64_t>(new_count));
   return Status::OK();
 }
 
-const EnvelopeSet* EnvelopeCache::Lookup(int window) const {
-  const Node* node = Find(window);
-  if (node == nullptr) {
-    WPRED_COUNT_ADD("similarity.envelope.cache_misses", 1);
-    return nullptr;
+Status EnvelopeSet::BuildTail(const ShardedCorpus& corpus, size_t old_size,
+                              int num_threads) {
+  const size_t new_count = corpus.size() - old_size;
+  // Pre-size the tail blocks — extend the possibly part-filled last old
+  // shard and add new ones — so the parallel loop below only does
+  // slot-indexed writes (determinism discipline of DESIGN.md §7). Existing
+  // offsets and envelope data are untouched: appends only grow each
+  // block's arrays at the tail.
+  blocks_.resize(corpus.num_shards());
+  for (size_t s = corpus.shard_of(old_size == 0 ? 0 : old_size - 1);
+       s < corpus.num_shards(); ++s) {
+    const CorpusShard shard = corpus.shard(s);
+    Block& block = blocks_[s];
+    const size_t old_local = block.offsets.size();
+    block.offsets.resize(shard.size());
+    size_t total = old_local == 0
+                       ? 0
+                       : block.offsets[old_local - 1] +
+                             corpus[shard.begin + old_local - 1].size();
+    for (size_t t = old_local; t < shard.size(); ++t) {
+      block.offsets[t] = total;
+      total += corpus[shard.begin + t].size();
+    }
+    block.lower.resize(total, 0.0);
+    block.upper.resize(total, 0.0);
   }
-  WPRED_COUNT_ADD("similarity.envelope.cache_hits", 1);
-  return &node->set;
+  WPRED_RETURN_IF_ERROR(
+      ParallelFor(new_count, num_threads, [&](size_t j) -> Status {
+        const size_t i = old_size + j;
+        Block& block = blocks_[i / shard_traces_];
+        const size_t off = block.offsets[i % shard_traces_];
+        query_internal::BuildEnvelopeColumns(corpus[i], window_,
+                                             block.lower.data() + off,
+                                             block.upper.data() + off);
+        return Status::OK();
+      }));
+  WPRED_COUNT_ADD("similarity.envelope.builds",
+                  static_cast<uint64_t>(new_count));
+  return Status::OK();
 }
 
 Result<SimilarityQueryEngine> SimilarityQueryEngine::Build(
@@ -375,10 +184,11 @@ Result<SimilarityQueryEngine> SimilarityQueryEngine::Build(
   if (corpus.empty()) {
     return Status::InvalidArgument("need at least one corpus entry");
   }
-  if (sketch_bins == 1) {
+  if (sketch_bins != 0 && sketch_bins < 2) {
     return Status::InvalidArgument(
-        "sketch_bins must be 0 (default), >= 2, or negative (disabled); a "
-        "one-bin histogram can never separate traces");
+        StrFormat("sketch_bins must be 0 (default) or >= 2; got %d (a "
+                  "histogram needs two bins to separate traces)",
+                  sketch_bins));
   }
   SimilarityQueryEngine engine;
   if (measure == "Dependent-DTW") {
@@ -416,15 +226,11 @@ Result<SimilarityQueryEngine> SimilarityQueryEngine::Build(
   engine.corpus_ = ShardedCorpus(std::move(corpus), shard_traces);
   if (engine.kind_ != MeasureKind::kGeneric) {
     WPRED_RETURN_IF_ERROR(
-        engine.envelopes_.GetOrBuild(engine.corpus_, window, num_threads)
-            .status());
-    if (sketch_bins >= 0) {
-      const int bins =
-          sketch_bins == 0 ? TraceSketchSet::kDefaultBins : sketch_bins;
-      WPRED_RETURN_IF_ERROR(
-          engine.sketches_.Build(engine.corpus_, bins, num_threads));
-      engine.sketch_bins_ = bins;
-    }
+        engine.envelopes_.Build(engine.corpus_, window, num_threads));
+    WPRED_RETURN_IF_ERROR(engine.sketches_.Build(
+        engine.corpus_,
+        sketch_bins == 0 ? TraceSketchSet::kDefaultBins : sketch_bins,
+        num_threads));
   }
   return engine;
 }
@@ -462,10 +268,8 @@ Status SimilarityQueryEngine::AppendTraces(std::vector<Matrix> traces,
   if (kind_ != MeasureKind::kGeneric) {
     WPRED_RETURN_IF_ERROR(
         envelopes_.ExtendForAppend(corpus_, old_size, num_threads));
-    if (sketch_bins_ > 0) {
-      WPRED_RETURN_IF_ERROR(
-          sketches_.ExtendForAppend(corpus_, old_size, num_threads));
-    }
+    WPRED_RETURN_IF_ERROR(
+        sketches_.ExtendForAppend(corpus_, old_size, num_threads));
   }
   return Status::OK();
 }
@@ -556,7 +360,6 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
   }
 
   const bool dtw = kind_ != MeasureKind::kGeneric;
-  const EnvelopeSet* envelopes = nullptr;
   std::vector<double> query_cols;
   std::vector<double> query_env_lower;
   std::vector<double> query_env_upper;
@@ -564,12 +367,6 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
   if (dtw) {
     if (query.cols() != corpus_[0].cols()) {
       return Status::InvalidArgument("feature count mismatch");
-    }
-    envelopes = envelopes_.Lookup(window_);
-    if (envelopes == nullptr) {
-      return Status::FailedPrecondition(
-          "envelope cache missing the engine window");  // unreachable: Build
-                                                        // prebuilds it
     }
     // Per-call query-side state, built once and reused by every candidate:
     // the column-major mirror feeds the SIMD Keogh and DTW kernels, the
@@ -581,7 +378,7 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
     query_internal::BuildEnvelopeColumns(query, window_,
                                          query_env_lower.data(),
                                          query_env_upper.data());
-    if (sketch_bins_ > 0) query_sketch = sketches_.SketchSeries(query);
+    query_sketch = sketches_.SketchSeries(query);
   }
 
   WPRED_COUNT_ADD("similarity.query.candidates", static_cast<uint64_t>(n));
@@ -610,12 +407,11 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
     return heap;
   }
 
-  // UCR-suite visit order: candidates ascend by (tier-0 bound, index) — the
-  // sketch bound when the tier is on (max of LB_Kim and the histogram/PAA
-  // bounds, O(d·bins) per candidate), bare LB_Kim otherwise — so the true
-  // neighbours tend to tighten the cutoff first, and because the sort key
-  // is itself the first cascade stage, the first tier-0 prune discards
-  // every remaining candidate at once.
+  // UCR-suite visit order: candidates ascend by (sketch bound, index) — the
+  // max of LB_Kim and the histogram/PAA bounds, O(d·bins) per candidate —
+  // so the true neighbours tend to tighten the cutoff first, and because
+  // the sort key is itself the first cascade stage, the first tier-0 prune
+  // discards every remaining candidate at once.
   //
   // Correctness under an arbitrary visit order needs two guards the naive
   // ascending-index scan does not:
@@ -626,31 +422,20 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
   //     abandonment proves distance > cutoff, never distance == cutoff.
   // Survivors' distances come from the same kernel cells as the plain scan
   // (the cutoff decides when to stop, never what is computed), so the
-  // result stays bit-identical to the exhaustive argsort — with the sketch
-  // tier on or off.
+  // result stays bit-identical to the exhaustive argsort at any sketch
+  // width.
   std::vector<Neighbor> by_lb(n);
-  std::vector<double> kims;  // sketch mode: the kim component, for counters
-  if (sketch_bins_ > 0) {
-    kims.resize(n);
-    const SketchLayout& layout = sketches_.layout();
-    for (size_t idx = 0; idx < n; ++idx) {
-      const SketchBound bound =
-          kind_ == MeasureKind::kDependentDtw
-              ? DependentSketchBound(query_sketch.data(), sketches_.At(idx),
-                                     layout, window_)
-              : IndependentSketchBound(query_sketch.data(), sketches_.At(idx),
-                                       layout, window_);
-      by_lb[idx] = {idx, bound.combined};
-      kims[idx] = bound.kim;
-    }
-  } else {
-    for (size_t idx = 0; idx < n; ++idx) {
-      by_lb[idx] = {idx,
-                    kind_ == MeasureKind::kDependentDtw
-                        ? query_internal::LbKimDependent(query, corpus_[idx])
-                        : query_internal::LbKimIndependent(query,
-                                                           corpus_[idx])};
-    }
+  std::vector<double> kims(n);  // the kim component, for prune attribution
+  const SketchLayout& layout = sketches_.layout();
+  for (size_t idx = 0; idx < n; ++idx) {
+    const SketchBound bound =
+        kind_ == MeasureKind::kDependentDtw
+            ? DependentSketchBound(query_sketch.data(), sketches_.At(idx),
+                                   layout, window_)
+            : IndependentSketchBound(query_sketch.data(), sketches_.At(idx),
+                                     layout, window_);
+    by_lb[idx] = {idx, bound.combined};
+    kims[idx] = bound.kim;
   }
   std::sort(by_lb.begin(), by_lb.end(), NeighborLess);
 
@@ -660,23 +445,18 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
     const bool full = heap.size() == k_eff;
     const double cutoff = full ? heap.front().distance : kInf;
     if (full && by_lb[pos].distance > cutoff) {
-      // Sorted by the tier-0 bound: every remaining candidate is out too.
+      // Sorted by the sketch bound: every remaining candidate is out too.
       // Attribution: a tail candidate whose kim component alone clears the
-      // cutoff would have been pruned by the pre-sketch cascade as well
-      // (kim_pruned); the rest are pruned only because the sketch's
-      // histogram/PAA bounds are tighter (sketch.pruned).
+      // cutoff counts as kim_pruned; the rest are pruned only because the
+      // sketch's histogram/PAA bounds are tighter (sketch.pruned).
       const auto remaining = static_cast<uint64_t>(n - pos);
-      WPRED_COUNT_ADD("similarity.lb.pruned", remaining);
-      if (kims.empty()) {
-        WPRED_COUNT_ADD("similarity.lb.kim_pruned", remaining);
-      } else {
-        uint64_t kim_alone = 0;
-        for (size_t p = pos; p < n; ++p) {
-          if (kims[by_lb[p].index] > cutoff) ++kim_alone;
-        }
-        WPRED_COUNT_ADD("similarity.lb.kim_pruned", kim_alone);
-        WPRED_COUNT_ADD("similarity.sketch.pruned", remaining - kim_alone);
+      uint64_t kim_alone = 0;
+      for (size_t p = pos; p < n; ++p) {
+        if (kims[by_lb[p].index] > cutoff) ++kim_alone;
       }
+      WPRED_COUNT_ADD("similarity.lb.pruned", remaining);
+      WPRED_COUNT_ADD("similarity.lb.kim_pruned", kim_alone);
+      WPRED_COUNT_ADD("similarity.sketch.pruned", remaining - kim_alone);
       break;
     }
     if (full && query.rows() == candidate.rows()) {
@@ -684,7 +464,7 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
       // envelope's window, i.e. for equal lengths (unequal lengths widen
       // the band to the length difference); other candidates fall through
       // to the early-abandoning kernel. Both directions (query against the
-      // cached candidate envelope, candidate against the query's) are
+      // candidate's envelope, candidate against the query's) are
       // valid lower bounds, so the max prunes strictly more. All operands
       // are column-major and contiguous, so each direction is one SIMD
       // envelope-gap reduction (per feature, for the independent measure).
@@ -694,8 +474,8 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
       if (kind_ == MeasureKind::kDependentDtw) {
         lb = std::max(
             std::sqrt(simd::EnvelopeGapSq(query_cols.data(),
-                                          envelopes->lower(idx),
-                                          envelopes->upper(idx),
+                                          envelopes_.lower(idx),
+                                          envelopes_.upper(idx),
                                           query.size())),
             std::sqrt(simd::EnvelopeGapSq(cand_cols, query_env_lower.data(),
                                           query_env_upper.data(),
@@ -707,8 +487,8 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
         for (size_t f = 0; f < d; ++f) {
           forward += std::sqrt(
               simd::EnvelopeGapSq(query_cols.data() + f * rows,
-                                  envelopes->lower(idx) + f * rows,
-                                  envelopes->upper(idx) + f * rows, rows));
+                                  envelopes_.lower(idx) + f * rows,
+                                  envelopes_.upper(idx) + f * rows, rows));
           backward += std::sqrt(
               simd::EnvelopeGapSq(cand_cols + f * rows,
                                   query_env_lower.data() + f * rows,
@@ -744,32 +524,6 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
   }
   std::sort(heap.begin(), heap.end(), NeighborLess);
   return heap;
-}
-
-Result<std::vector<Neighbor>> RankNeighbors(
-    const ExperimentCorpus& corpus, const Experiment& query, size_t k,
-    Representation representation, const std::string& measure,
-    const std::vector<size_t>& features, int window, int num_threads) {
-  if (corpus.empty()) {
-    return Status::InvalidArgument("need at least one corpus experiment");
-  }
-  const NormalizationContext ctx = ComputeNormalization(corpus);
-  WPRED_ASSIGN_OR_RETURN(
-      std::vector<Matrix> reps,
-      ParallelMap<Matrix>(corpus.size(), num_threads,
-                          [&](size_t i) -> Result<Matrix> {
-                            return BuildRepresentation(representation,
-                                                       corpus[i], features,
-                                                       ctx);
-                          }));
-  WPRED_ASSIGN_OR_RETURN(
-      const Matrix query_rep,
-      BuildRepresentation(representation, query, features, ctx));
-  WPRED_ASSIGN_OR_RETURN(
-      const SimilarityQueryEngine engine,
-      SimilarityQueryEngine::Build(std::move(reps), measure, window,
-                                   num_threads));
-  return engine.RankNeighbors(query_rep, k);
 }
 
 }  // namespace wpred

@@ -11,16 +11,17 @@
 // A reference corpus of 10^5–10^6 representation traces cannot be treated
 // as one flat array by the parallel similarity stages: work distribution
 // wants units much smaller than "the whole corpus" and much larger than
-// "one trace", and the envelope cache wants each unit's data contiguous so
-// a worker streams one cache-friendly block instead of striding the heap.
+// "one trace", and the envelope and sketch sets want each unit's data
+// contiguous so a worker streams one cache-friendly block instead of
+// striding the heap.
 //
 // ShardedCorpus fixes the unit: traces stay in one vector in corpus order
 // (global indices are unchanged — every Neighbor::index, top-k result, and
 // envelope lookup is identical to the unsharded layout), and the corpus is
 // overlaid with contiguous fixed-width shards of `shard_traces` traces
 // (the last shard may be short). The similarity engine parallelises over
-// shards, and the envelope cache stores one contiguous envelope block per
-// shard.
+// shards, and the engine's EnvelopeSet stores one contiguous envelope
+// block per shard.
 
 namespace wpred {
 

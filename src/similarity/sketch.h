@@ -95,7 +95,7 @@ struct SketchBound {
 /// Sketches of one corpus, stored as one contiguous record block per corpus
 /// shard (global corpus indices address it, like EnvelopeSet). Built once
 /// per engine; extended in place on append (single-writer, same contract as
-/// EnvelopeCache::ExtendForAppend).
+/// EnvelopeSet::ExtendForAppend).
 class TraceSketchSet {
  public:
   /// Default histogram bins per feature; segments is fixed. Eight of each

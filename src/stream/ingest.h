@@ -34,9 +34,11 @@
 //
 // Accordingly this module carries no thread-safety annotations
 // (common/annotations.h): there is no mutex to name and no atomic that
-// publishes — the ownership contract above is the whole story, and the
-// concurrent machinery it hands off to (PredictionService, EnvelopeCache)
-// is annotated and lint-checked at the hand-off points instead.
+// publishes — the ownership contract above is the whole story. The
+// reference engine it appends to must not be queried while Observe runs
+// (SimilarityQueryEngine::AppendTraces is single-writer), and the
+// concurrent machinery it hands off to (PredictionService) is annotated
+// and lint-checked at the hand-off points instead.
 
 namespace wpred {
 

@@ -3,6 +3,8 @@
 // holds) and asserts the shape the paper reports, so a change that breaks
 // a reproduced finding fails here rather than in a bench printout.
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -10,7 +12,10 @@
 
 #include "core/pipeline.h"
 #include "core/workbench.h"
+#include "predict/roofline.h"
+#include "sim/engine.h"
 #include "sim/hardware.h"
+#include "sim/workload_spec.h"
 
 namespace wpred {
 namespace {
@@ -52,6 +57,59 @@ TEST(PaperShapeTest, Fig10YcsbOrderingIsTpccTwitterTpch) {
   EXPECT_EQ(order, (std::vector<std::string>{"TPC-C", "Twitter", "TPC-H"}));
   EXPECT_LT((*ranked)[0].mean_distance, (*ranked)[1].mean_distance);
   EXPECT_LT((*ranked)[1].mean_distance, (*ranked)[2].mean_distance);
+}
+
+// Figure 12 (bench_fig12_roofline), at the bench's full size: an IO-bound
+// key-value workload is measured at 1-8 CPUs; a linear model fitted on the
+// compute-bound points (1-3 CPUs) keeps extrapolating, while the
+// roofline-clipped model flattens at the observed plateau. The paper's
+// illustration reaches the ceiling at 3 CPUs.
+TEST(PaperShapeTest, Fig12RooflineCrossoverNearThreeCpus) {
+  // The bench's workload: every transaction misses a buffer pool far
+  // smaller than the working set, so the IO subsystem is the ceiling.
+  WorkloadSpec workload = MakeYcsb();
+  workload.name = "io-bound-kv";
+  workload.working_set_gb = 400.0;
+  workload.think_time_ms = 1.0;
+  for (TxnTypeSpec& t : workload.transactions) {
+    t.cpu_ms = 1.5;
+    t.logical_ios = 120.0;
+    t.locks_acquired = 0.0;
+  }
+  const std::vector<int> all_cpus = {1, 2, 3, 4, 6, 8};
+  std::vector<double> measured;
+  for (const int cpus : all_cpus) {
+    RunRequest request;
+    request.workload = workload;
+    request.sku = MakeCpuSku(cpus);
+    request.terminals = 64;
+    request.config.duration_s = 120.0;
+    request.config.sample_period_s = 0.5;
+    request.config.seed = 4242 + cpus;
+    const Result<Experiment> run = RunExperiment(request);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    measured.push_back(run->perf.throughput_tps);
+  }
+
+  const Vector fit_cpus = {1.0, 2.0, 3.0};
+  const Vector fit_tput = {measured[0], measured[1], measured[2]};
+  const double ceiling = *std::max_element(measured.begin(), measured.end());
+  const Result<RooflineModel> model =
+      RooflineModel::Fit(fit_cpus, fit_tput, ceiling);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  EXPECT_GE(model->CrossoverCpus(), 2.5);
+  EXPECT_LE(model->CrossoverCpus(), 3.5);
+  const auto relative_error = [&](double predicted, size_t i) {
+    return std::fabs(predicted - measured[i]) / measured[i];
+  };
+  // all_cpus[5] = 8: the linear model over-predicts past the ceiling.
+  EXPECT_GT(model->PredictLinearOnly(8.0), measured[5]);
+  EXPECT_GT(relative_error(model->PredictLinearOnly(8.0), 5), 0.5);
+  for (const size_t i : {3ul, 4ul, 5ul}) {  // 4, 6 and 8 CPUs
+    EXPECT_LE(relative_error(model->Predict(all_cpus[i]), i), 0.10)
+        << all_cpus[i] << " CPUs";
+  }
 }
 
 }  // namespace

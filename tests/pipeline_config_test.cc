@@ -185,6 +185,14 @@ TEST(PipelineConfigValidateTest, RejectsOutOfRangeKnobs) {
   expect_invalid(config, "num_threads");
 
   config = PipelineConfig{};
+  config.similarity_sketch_bins = 1;
+  expect_invalid(config, "similarity_sketch_bins");
+
+  config = PipelineConfig{};
+  config.similarity_sketch_bins = -1;
+  expect_invalid(config, "similarity_sketch_bins");
+
+  config = PipelineConfig{};
   config.quality.mad_outlier_threshold = 0.0;
   expect_invalid(config, "mad_outlier_threshold");
 

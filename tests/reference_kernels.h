@@ -14,7 +14,11 @@
 //    distance equals the wavefront's bitwise; the two may abandon a doomed
 //    candidate at different points;
 //  - the Lemire monotonic-deque envelope. It computes the exact windowed
-//    min/max, as van Herk does, so the two agree bitwise.
+//    min/max, as van Herk does, so the two agree bitwise;
+//  - the row-major LB_Kim and LB_Keogh bounds. The engine computes LB_Kim
+//    as the sketch bound's `kim` component and LB_Keogh as simd::
+//    EnvelopeGapSq over its EnvelopeSet; both match these to within
+//    reassociation.
 //
 // Nothing here is tuned: each oracle is the plainest loop with the same
 // per-cell arithmetic, so a disagreement always implicates the production
@@ -192,6 +196,104 @@ inline void BuildEnvelopeColumns(const Matrix& series, int window,
     EnvelopeColumnDeque(col.data(), rows, band, lower + f * rows,
                         upper + f * rows);
   }
+}
+
+/// Row-major LB_Keogh envelope: upper(i, f) / lower(i, f) = max / min of
+/// column f over the band rows [i − band, i + band].
+struct SeriesEnvelope {
+  Matrix lower;
+  Matrix upper;
+};
+
+/// The deque envelope of `series`, transposed to row-major.
+inline SeriesEnvelope BuildEnvelope(const Matrix& series, int window) {
+  const size_t rows = series.rows();
+  const size_t cols = series.cols();
+  std::vector<double> lower(series.size());
+  std::vector<double> upper(series.size());
+  BuildEnvelopeColumns(series, window, lower.data(), upper.data());
+  SeriesEnvelope envelope{Matrix(rows, cols), Matrix(rows, cols)};
+  for (size_t f = 0; f < cols; ++f) {
+    for (size_t r = 0; r < rows; ++r) {
+      envelope.lower(r, f) = lower[f * rows + r];
+      envelope.upper(r, f) = upper[f * rows + r];
+    }
+  }
+  return envelope;
+}
+
+/// Squared Euclidean distance between row `ra` of `a` and row `rb` of `b`.
+inline double RowSquaredDistance(const Matrix& a, size_t ra, const Matrix& b,
+                                 size_t rb) {
+  double acc = 0.0;
+  for (size_t f = 0; f < a.cols(); ++f) {
+    const double d = a(ra, f) - b(rb, f);
+    acc += d * d;
+  }
+  return acc;
+}
+
+/// LB_Kim: every alignment path starts at the first cells and ends at the
+/// last cells, so their costs alone lower-bound the DTW distance. Valid for
+/// any pair of lengths and any window.
+inline double LbKimDependent(const Matrix& query, const Matrix& candidate) {
+  double acc = RowSquaredDistance(query, 0, candidate, 0);
+  if (query.rows() + candidate.rows() > 2) {
+    acc += RowSquaredDistance(query, query.rows() - 1, candidate,
+                              candidate.rows() - 1);
+  }
+  return std::sqrt(acc);
+}
+
+inline double LbKimIndependent(const Matrix& query, const Matrix& candidate) {
+  const bool distinct_endpoints = query.rows() + candidate.rows() > 2;
+  double total = 0.0;
+  for (size_t f = 0; f < query.cols(); ++f) {
+    const double first = query(0, f) - candidate(0, f);
+    double acc = first * first;
+    if (distinct_endpoints) {
+      const double last = query(query.rows() - 1, f) -
+                          candidate(candidate.rows() - 1, f);
+      acc += last * last;
+    }
+    total += std::sqrt(acc);
+  }
+  return total / static_cast<double>(query.cols());
+}
+
+/// Squared gap from v to [lo, hi]; 0 inside the interval.
+inline double GapSq(double v, double lo, double hi) {
+  if (v > hi) return (v - hi) * (v - hi);
+  if (v < lo) return (lo - v) * (lo - v);
+  return 0.0;
+}
+
+/// LB_Keogh of `query` against a candidate envelope built with the DTW
+/// kernel's window: every query row aligns to at least one candidate row
+/// inside the band, so its squared distance to the envelope lower-bounds
+/// that row's contribution. Requires equal lengths.
+inline double LbKeoghDependent(const Matrix& query,
+                               const SeriesEnvelope& envelope) {
+  double acc = 0.0;
+  for (size_t i = 0; i < query.rows(); ++i) {
+    for (size_t f = 0; f < query.cols(); ++f) {
+      acc += GapSq(query(i, f), envelope.lower(i, f), envelope.upper(i, f));
+    }
+  }
+  return std::sqrt(acc);
+}
+
+inline double LbKeoghIndependent(const Matrix& query,
+                                 const SeriesEnvelope& envelope) {
+  double total = 0.0;
+  for (size_t f = 0; f < query.cols(); ++f) {
+    double acc = 0.0;
+    for (size_t i = 0; i < query.rows(); ++i) {
+      acc += GapSq(query(i, f), envelope.lower(i, f), envelope.upper(i, f));
+    }
+    total += std::sqrt(acc);
+  }
+  return total / static_cast<double>(query.cols());
 }
 
 /// Exhaustive top-k: every candidate's full distance under `measure`

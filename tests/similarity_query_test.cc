@@ -1,7 +1,8 @@
 // Lower-bound-pruned similarity search (similarity/query.h): the pruned
 // top-k must be bit-identical to an exhaustive scan — same indices, same
 // distances — for every measure, window, thread count, and corpus shape,
-// and the cascade's lower bounds must actually bound the DTW distance.
+// also with several threads querying one engine at once, and the cascade's
+// lower bounds must actually bound the DTW distance.
 
 #include <algorithm>
 #include <atomic>
@@ -13,10 +14,15 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "obs/metrics.h"
+#include "reference_kernels.h"
 #include "similarity/dtw.h"
 #include "similarity/measures.h"
 #include "similarity/query.h"
+#include "similarity/representation.h"
+#include "similarity/sketch.h"
+#include "telemetry/experiment.h"
 #include "telemetry/feature_catalog.h"
 
 namespace wpred {
@@ -162,12 +168,17 @@ TEST(SimilarityQueryTest, UnequalLengthsStayExact) {
 }
 
 TEST(EnvelopeTest, ContainsSeriesAndRespectsWindow) {
+  // The engine's envelopes (EnvelopeSet, column-major) against a brute-force
+  // windowed min/max.
   Rng rng(41);
   const Matrix series = RandomSeries(rng, 20, 3);
+  const ShardedCorpus corpus(std::vector<Matrix>{series});
+  const size_t rows = series.rows();
   for (const int window : {0, 1, 5}) {
-    const SeriesEnvelope env = query_internal::BuildEnvelope(series, window);
-    ASSERT_EQ(env.lower.rows(), series.rows());
-    ASSERT_EQ(env.upper.cols(), series.cols());
+    EnvelopeSet envelopes;
+    ASSERT_TRUE(envelopes.Build(corpus, window, /*num_threads=*/1).ok());
+    const double* lower = envelopes.lower(0);
+    const double* upper = envelopes.upper(0);
     const size_t band =
         window > 0 ? static_cast<size_t>(window) : series.rows();
     for (size_t i = 0; i < series.rows(); ++i) {
@@ -179,31 +190,66 @@ TEST(EnvelopeTest, ContainsSeriesAndRespectsWindow) {
           expect_min = std::min(expect_min, series(j, f));
           expect_max = std::max(expect_max, series(j, f));
         }
-        EXPECT_DOUBLE_EQ(env.lower(i, f), expect_min) << i << "," << f;
-        EXPECT_DOUBLE_EQ(env.upper(i, f), expect_max) << i << "," << f;
-        EXPECT_LE(env.lower(i, f), series(i, f));
-        EXPECT_GE(env.upper(i, f), series(i, f));
+        EXPECT_EQ(lower[f * rows + i], expect_min) << i << "," << f;
+        EXPECT_EQ(upper[f * rows + i], expect_max) << i << "," << f;
+        EXPECT_LE(lower[f * rows + i], series(i, f));
+        EXPECT_GE(upper[f * rows + i], series(i, f));
       }
     }
   }
 }
 
 TEST(LowerBoundTest, KimAndKeoghBoundTrueDistance) {
+  // The bounds as the engine computes them — LB_Kim as the sketch bound's
+  // kim component, LB_Keogh as simd::EnvelopeGapSq against an EnvelopeSet
+  // entry — must equal the row-major reference bounds to within
+  // reassociation, and never exceed the true DTW distance.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     const Matrix a = RandomSeries(rng, 10, 2);
     const Matrix b = RandomSeries(rng, 10, 2);
+    const ShardedCorpus corpus(std::vector<Matrix>{b});
+    TraceSketchSet sketches;
+    ASSERT_TRUE(sketches.Build(corpus, /*bins=*/8, /*num_threads=*/1).ok());
+    const std::vector<double> a_sketch = sketches.SketchSeries(a);
+    const std::vector<double> a_cols = a.ColumnMajor();
+    const size_t rows = a.rows();
     for (const int window : {0, 2, 4}) {
-      const SeriesEnvelope env_b = query_internal::BuildEnvelope(b, window);
+      EnvelopeSet envelopes;
+      ASSERT_TRUE(envelopes.Build(corpus, window, /*num_threads=*/1).ok());
+      const reference::SeriesEnvelope env_b =
+          reference::BuildEnvelope(b, window);
+      const double kim_dep =
+          DependentSketchBound(a_sketch.data(), sketches.At(0),
+                               sketches.layout(), window)
+              .kim;
+      const double kim_ind =
+          IndependentSketchBound(a_sketch.data(), sketches.At(0),
+                                 sketches.layout(), window)
+              .kim;
+      const double keogh_dep = std::sqrt(simd::EnvelopeGapSq(
+          a_cols.data(), envelopes.lower(0), envelopes.upper(0), a.size()));
+      double keogh_ind = 0.0;
+      for (size_t f = 0; f < a.cols(); ++f) {
+        keogh_ind += std::sqrt(simd::EnvelopeGapSq(
+            a_cols.data() + f * rows, envelopes.lower(0) + f * rows,
+            envelopes.upper(0) + f * rows, rows));
+      }
+      keogh_ind /= static_cast<double>(a.cols());
+
+      EXPECT_NEAR(kim_dep, reference::LbKimDependent(a, b), 1e-12);
+      EXPECT_NEAR(kim_ind, reference::LbKimIndependent(a, b), 1e-12);
+      EXPECT_NEAR(keogh_dep, reference::LbKeoghDependent(a, env_b), 1e-12);
+      EXPECT_NEAR(keogh_ind, reference::LbKeoghIndependent(a, env_b), 1e-12);
       const double dep = DependentDtwDistance(a, b, window).value();
-      EXPECT_LE(query_internal::LbKimDependent(a, b), dep + 1e-12)
-          << "seed=" << seed << " window=" << window;
-      EXPECT_LE(query_internal::LbKeoghDependent(a, env_b), dep + 1e-12)
-          << "seed=" << seed << " window=" << window;
       const double ind = IndependentDtwDistance(a, b, window).value();
-      EXPECT_LE(query_internal::LbKimIndependent(a, b), ind + 1e-12)
+      EXPECT_LE(kim_dep, dep + 1e-12)
           << "seed=" << seed << " window=" << window;
-      EXPECT_LE(query_internal::LbKeoghIndependent(a, env_b), ind + 1e-12)
+      EXPECT_LE(keogh_dep, dep + 1e-12)
+          << "seed=" << seed << " window=" << window;
+      EXPECT_LE(kim_ind, ind + 1e-12)
+          << "seed=" << seed << " window=" << window;
+      EXPECT_LE(keogh_ind, ind + 1e-12)
           << "seed=" << seed << " window=" << window;
     }
   }
@@ -245,7 +291,7 @@ TEST(EarlyAbandonTest, TinyCutoffAbandons) {
   EXPECT_GT(DependentDtwDistance(a, b).value(), 1e-3);
 }
 
-TEST(SimilarityQueryTest, EnvelopeCacheCountsHits) {
+TEST(SimilarityQueryTest, EnvelopesBuiltOnceAtBuild) {
   obs::SetMetricsEnabled(true);
   obs::MetricsRegistry::Global().ResetAll();
   const std::vector<Matrix> corpus = RandomCorpus(61, 6, 8, 2);
@@ -253,15 +299,12 @@ TEST(SimilarityQueryTest, EnvelopeCacheCountsHits) {
       SimilarityQueryEngine::Build(corpus, "Dependent-DTW", /*window=*/2);
   ASSERT_TRUE(engine.ok());
   auto& registry = obs::MetricsRegistry::Global();
-  EXPECT_EQ(registry.GetCounter("similarity.envelope.cache_misses").value(),
-            1u);
   EXPECT_EQ(registry.GetCounter("similarity.envelope.builds").value(),
             corpus.size());
   Rng rng(62);
   const Matrix query = RandomSeries(rng, 8, 2);
   ASSERT_TRUE(engine->RankNeighbors(query, 2).ok());
   ASSERT_TRUE(engine->RankNeighbors(query, 3).ok());
-  EXPECT_EQ(registry.GetCounter("similarity.envelope.cache_hits").value(), 2u);
   EXPECT_EQ(registry.GetCounter("similarity.envelope.builds").value(),
             corpus.size());  // queries never rebuild envelopes
   obs::SetMetricsEnabled(false);
@@ -337,8 +380,9 @@ TEST(SimilarityQueryTest, RankRejectsBadQueries) {
 
 TEST(SimilarityQueryTest, CorpusConvenienceOverloadRanksExperiments) {
   // Mirror of the corpus-level tests in similarity_test.cc: build a small
-  // synthetic corpus and check that an experiment retrieves its own
-  // workload's entries first.
+  // synthetic corpus, represent it the way the pipeline does (shared
+  // normalisation, MTS representation), and check that an experiment
+  // retrieves its own workload's entries first.
   Rng rng(101);
   ExperimentCorpus corpus;
   for (int i = 0; i < 6; ++i) {
@@ -356,9 +400,19 @@ TEST(SimilarityQueryTest, CorpusConvenienceOverloadRanksExperiments) {
     }
     corpus.Add(std::move(e));
   }
-  const Result<std::vector<Neighbor>> ranked =
-      RankNeighbors(corpus, corpus[0], 3, Representation::kMts,
-                    "Dependent-DTW", ResourceFeatureIndices());
+  const NormalizationContext ctx = ComputeNormalization(corpus);
+  std::vector<Matrix> reps;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    Result<Matrix> rep = BuildRepresentation(
+        Representation::kMts, corpus[i], ResourceFeatureIndices(), ctx);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    reps.push_back(std::move(*rep));
+  }
+  const Matrix query = reps[0];
+  const Result<SimilarityQueryEngine> engine =
+      SimilarityQueryEngine::Build(std::move(reps), "Dependent-DTW");
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Result<std::vector<Neighbor>> ranked = engine->RankNeighbors(query, 3);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   ASSERT_EQ(ranked->size(), 3u);
   EXPECT_EQ((*ranked)[0].index, 0u);  // itself
@@ -367,7 +421,7 @@ TEST(SimilarityQueryTest, CorpusConvenienceOverloadRanksExperiments) {
   }
 }
 
-// --- Sharded corpus: layout arithmetic, determinism, cache concurrency. ---
+// --- Sharded corpus: layout arithmetic, determinism, concurrent reads. ---
 
 TEST(ShardedCorpusTest, ShardMapCoversCorpusExactly) {
   for (const auto& [n, width] : std::vector<std::pair<size_t, size_t>>{
@@ -470,75 +524,73 @@ TEST(SimilarityQueryTest, ShardedTopKBitIdenticalAcrossSchedules) {
   }
 }
 
-TEST(EnvelopeCacheTest, ConcurrentLookupAndBuildIsRaceFree) {
-  // TSan regression for the cache race: the old implementation mutated a
-  // plain std::map under GetOrBuild while concurrent readers ran Lookup on
-  // the same structure. Readers now traverse an immutable node list off an
-  // atomic head, so lookups may run against in-flight builds of *other*
-  // windows freely. Hammer both paths from several threads.
-  const ShardedCorpus corpus(RandomCorpus(131, 24, 8, 2), /*shard_traces=*/5);
-  EnvelopeCache cache;
-  ASSERT_TRUE(cache.GetOrBuild(corpus, /*window=*/1, /*num_threads=*/1).ok());
-
-  constexpr int kReaders = 3;
-  constexpr int kWindows = 6;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> hits{0};
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&cache, &stop, &hits]() {
-      while (!stop.load(std::memory_order_acquire)) {
-        for (int w = 1; w <= kWindows; ++w) {
-          if (cache.Lookup(w) != nullptr) {
-            hits.fetch_add(1, std::memory_order_relaxed);
+TEST(SimilarityQueryTest, ConcurrentReadsMatchExhaustive) {
+  // An engine is immutable after Build, so concurrent const queries need no
+  // locks. Four threads share one engine and loop RankNeighbors (k < n, the
+  // serial cascade over the engine's envelopes and sketches) and Distances
+  // (the parallel shard scan); every result must equal the row-order
+  // oracle's exhaustive top-k or the single-thread distances.
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 8;
+  constexpr size_t kK = 4;
+  const std::vector<Matrix> corpus = RandomCorpus(131, 24, 8, 2);
+  Rng rng(132);
+  std::vector<Matrix> queries;
+  for (int q = 0; q < kReaders; ++q) queries.push_back(RandomSeries(rng, 8, 2));
+  for (const char* measure : {"Dependent-DTW", "Independent-DTW"}) {
+    for (const int window : {0, 3}) {
+      const Result<SimilarityQueryEngine> built = SimilarityQueryEngine::Build(
+          corpus, measure, window, /*num_threads=*/2, /*shard_traces=*/5);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const SimilarityQueryEngine& engine = *built;
+      std::vector<std::vector<Neighbor>> expected_top;
+      std::vector<Vector> expected_distances;
+      for (const Matrix& query : queries) {
+        const Result<std::vector<Neighbor>> top =
+            reference::ExhaustiveTopK(corpus, query, measure, window, kK);
+        ASSERT_TRUE(top.ok()) << top.status().ToString();
+        expected_top.push_back(*top);
+        const Result<Vector> distances =
+            engine.Distances(query, /*num_threads=*/1);
+        ASSERT_TRUE(distances.ok()) << distances.status().ToString();
+        expected_distances.push_back(*distances);
+      }
+      std::atomic<int> mismatches{0};
+      std::vector<std::thread> readers;
+      readers.reserve(kReaders);
+      for (int t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t]() {
+          for (int round = 0; round < kRounds; ++round) {
+            // Each reader walks every query, starting at its own, so the
+            // threads overlap on the same candidates in different orders.
+            const size_t q = static_cast<size_t>(t + round) % queries.size();
+            const Result<std::vector<Neighbor>> ranked =
+                engine.RankNeighbors(queries[q], kK);
+            if (!ranked.ok() || *ranked != expected_top[q]) ++mismatches;
+            const Result<Vector> distances =
+                engine.Distances(queries[q], /*num_threads=*/2);
+            if (!distances.ok() || *distances != expected_distances[q]) {
+              ++mismatches;
+            }
           }
-        }
+        });
       }
-    });
-  }
-  std::vector<std::thread> builders;
-  builders.reserve(2);
-  for (int t = 0; t < 2; ++t) {
-    builders.emplace_back([&cache, &corpus, t]() {
-      // Overlapping window sets: both builders race every window, so the
-      // double-checked build path is exercised, and each window must still
-      // be built exactly once.
-      for (int w = 1 + (t % 2); w <= kWindows; ++w) {
-        const auto built = cache.GetOrBuild(corpus, w, /*num_threads=*/2);
-        ASSERT_TRUE(built.ok());
-        ASSERT_NE(*built, nullptr);
-      }
-    });
-  }
-  for (std::thread& b : builders) b.join();
-  stop.store(true, std::memory_order_release);
-  for (std::thread& r : readers) r.join();
-  EXPECT_GT(hits.load(), 0u);
-
-  // Every window is now resident and identical between Lookup and a repeat
-  // GetOrBuild (pointer-stable: the same published EnvelopeSet).
-  for (int w = 1; w <= kWindows; ++w) {
-    const EnvelopeSet* looked_up = cache.Lookup(w);
-    ASSERT_NE(looked_up, nullptr) << "window " << w;
-    const auto again = cache.GetOrBuild(corpus, w, /*num_threads=*/1);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*again, looked_up) << "window " << w;
+      for (std::thread& reader : readers) reader.join();
+      EXPECT_EQ(mismatches.load(), 0) << measure << " window=" << window;
+    }
   }
 }
 
-TEST(EnvelopeCacheTest, EnvelopeSetMatchesPerTraceBuild) {
+TEST(EnvelopeSetTest, MatchesPerTraceBuild) {
   // The per-shard block layout must address exactly the same envelope a
   // flat per-trace build would produce for each global index.
   const ShardedCorpus corpus(RandomCorpus(141, 11, 6, 2), /*shard_traces=*/4);
-  EnvelopeCache cache;
-  const auto built = cache.GetOrBuild(corpus, /*window=*/2, /*num_threads=*/4);
-  ASSERT_TRUE(built.ok());
-  const EnvelopeSet& set = **built;
+  EnvelopeSet set;
+  ASSERT_TRUE(set.Build(corpus, /*window=*/2, /*num_threads=*/4).ok());
   ASSERT_EQ(set.num_blocks(), corpus.num_shards());
   for (size_t i = 0; i < corpus.size(); ++i) {
-    const SeriesEnvelope expected =
-        query_internal::BuildEnvelope(corpus[i], /*window=*/2);
+    const reference::SeriesEnvelope expected =
+        reference::BuildEnvelope(corpus[i], /*window=*/2);
     // The flat blocks are column-major (column f at offset f·rows), matching
     // ShardedCorpus::col_data.
     const double* lower = set.lower(i);

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "reference_kernels.h"
 #include "similarity/dtw.h"
 #include "similarity/query.h"
 #include "similarity/sketch.h"
@@ -102,8 +103,9 @@ TEST(SimilaritySketchTest, LbKimAdmissibleOnDegenerateLengths) {
   // Length-1 and length-2 series: the first and last cells of the warping
   // path coincide (1x1) or touch every cell (2x2) — the regime where an
   // endpoint double-count would push LB_Kim above the true distance. Pin
-  // LB <= distance on every combination, both measures, and the sketch
-  // bound with them.
+  // the sketch bound's kim component to the reference LB_Kim and to
+  // LB <= distance on every combination, both measures, and the combined
+  // sketch bound with them.
   Rng rng(77);
   std::vector<Matrix> shapes;
   for (const size_t r : {1ul, 2ul}) {
@@ -120,16 +122,20 @@ TEST(SimilaritySketchTest, LbKimAdmissibleOnDegenerateLengths) {
       const Result<double> dep = DependentDtwDistance(query, candidate);
       const Result<double> ind = IndependentDtwDistance(query, candidate);
       ASSERT_TRUE(dep.ok() && ind.ok());
-      EXPECT_LE(query_internal::LbKimDependent(query, candidate),
-                *dep * (1.0 + 1e-12))
-          << "q.rows=" << query.rows() << " c.rows=" << candidate.rows();
-      EXPECT_LE(query_internal::LbKimIndependent(query, candidate),
-                *ind * (1.0 + 1e-12))
-          << "q.rows=" << query.rows() << " c.rows=" << candidate.rows();
       const SketchBound dep_b = DependentSketchBound(
           qsketch.data(), sketches.At(i), sketches.layout(), /*window=*/0);
       const SketchBound ind_b = IndependentSketchBound(
           qsketch.data(), sketches.At(i), sketches.layout(), /*window=*/0);
+      EXPECT_NEAR(dep_b.kim, reference::LbKimDependent(query, candidate),
+                  1e-12)
+          << "q.rows=" << query.rows() << " c.rows=" << candidate.rows();
+      EXPECT_NEAR(ind_b.kim, reference::LbKimIndependent(query, candidate),
+                  1e-12)
+          << "q.rows=" << query.rows() << " c.rows=" << candidate.rows();
+      EXPECT_LE(dep_b.kim, *dep * (1.0 + 1e-12))
+          << "q.rows=" << query.rows() << " c.rows=" << candidate.rows();
+      EXPECT_LE(ind_b.kim, *ind * (1.0 + 1e-12))
+          << "q.rows=" << query.rows() << " c.rows=" << candidate.rows();
       EXPECT_LE(dep_b.combined, *dep * (1.0 + 1e-9) + 1e-12);
       EXPECT_LE(ind_b.combined, *ind * (1.0 + 1e-9) + 1e-12);
     }
@@ -244,13 +250,13 @@ TEST(SimilaritySketchTest, EmptyAppendIsStrictNoOp) {
           .ok());
   EXPECT_EQ(sketches.num_blocks(), sketch_blocks);
 
-  EnvelopeCache cache;
-  const auto built = cache.GetOrBuild(corpus, /*window=*/2, /*num_threads=*/1);
-  ASSERT_TRUE(built.ok());
-  const size_t env_blocks = (*built)->num_blocks();
+  EnvelopeSet envelopes;
+  ASSERT_TRUE(envelopes.Build(corpus, /*window=*/2, /*num_threads=*/1).ok());
+  const size_t env_blocks = envelopes.num_blocks();
   ASSERT_TRUE(
-      cache.ExtendForAppend(corpus, corpus.size(), /*num_threads=*/1).ok());
-  EXPECT_EQ((*built)->num_blocks(), env_blocks);
+      envelopes.ExtendForAppend(corpus, corpus.size(), /*num_threads=*/1)
+          .ok());
+  EXPECT_EQ(envelopes.num_blocks(), env_blocks);
 
   auto engine = SimilarityQueryEngine::Build(traces, "Dependent-DTW",
                                              /*window=*/2);
@@ -267,16 +273,22 @@ TEST(SimilaritySketchTest, EmptyAppendIsStrictNoOp) {
 
 TEST(SimilaritySketchTest, BinsValidation) {
   const std::vector<Matrix> traces = RandomCorpus(121, 4, 6, 2);
-  // Engine: 1 is a hard error; negatives disable; 0 defaults; >= 2 honoured.
-  EXPECT_FALSE(SimilarityQueryEngine::Build(traces, "Dependent-DTW",
-                                            /*window=*/0, /*num_threads=*/1,
-                                            /*shard_traces=*/0,
-                                            /*sketch_bins=*/1)
-                   .ok());
-  const auto disabled = SimilarityQueryEngine::Build(
-      traces, "Dependent-DTW", 0, 1, 0, /*sketch_bins=*/-1);
-  ASSERT_TRUE(disabled.ok());
-  EXPECT_EQ(disabled->sketch_bins(), 0);
+  // Engine: 0 defaults; >= 2 honoured; 1 and negatives are hard errors,
+  // for every measure.
+  for (const char* measure : {"Dependent-DTW", "L2,1-Norm"}) {
+    for (const int bins : {1, -1, -8}) {
+      const auto rejected =
+          SimilarityQueryEngine::Build(traces, measure, /*window=*/0,
+                                       /*num_threads=*/1, /*shard_traces=*/0,
+                                       /*sketch_bins=*/bins);
+      ASSERT_FALSE(rejected.ok()) << measure << " bins=" << bins;
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  const auto by_default = SimilarityQueryEngine::Build(
+      traces, "Dependent-DTW", 0, 1, 0, /*sketch_bins=*/0);
+  ASSERT_TRUE(by_default.ok());
+  EXPECT_EQ(by_default->sketch_bins(), TraceSketchSet::kDefaultBins);
   const auto custom = SimilarityQueryEngine::Build(traces, "Dependent-DTW", 0,
                                                    1, 0, /*sketch_bins=*/16);
   ASSERT_TRUE(custom.ok());

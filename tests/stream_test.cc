@@ -330,8 +330,8 @@ TEST(StreamAppendTest, AppendedEngineMatchesFromScratchBuild) {
           Result<SimilarityQueryEngine> grown = SimilarityQueryEngine::Build(
               head, measure, /*window=*/3, threads, shard_traces);
           ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-          // Query first so the envelope cache is warm — the append must
-          // extend the published sets, not rebuild them.
+          // Query before appending — the append must extend the engine's
+          // envelopes and sketches in place, not rebuild them.
           ASSERT_TRUE(grown->RankNeighbors(query, 3).ok());
           ASSERT_TRUE(grown->AppendTraces(tail, threads).ok());
 
