@@ -10,17 +10,65 @@
 // features degrades gracefully via next-ranked-feature fallback; with the
 // gate off, the same faults either crash the representation or silently
 // shift predictions.
+//
+// Flag:
+//   --metrics-json=PATH  turn the obs layer on and write its full dump
+//                        (counters, span tree, pool stats) to PATH on exit;
+//                        tools/metrics_summary pretty-prints it.
 
 #include <cmath>
+#include <string>
 
 #include "bench_util.h"
 #include "core/pipeline.h"
 #include "linalg/stats.h"
 #include "ml/metrics.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "telemetry/faults.h"
 
 namespace wpred::bench {
 namespace {
+
+/// Opt-in metrics capture. Construct at the top of main(argc, argv); if
+/// `--metrics-json=PATH` is on the command line, the process-wide metrics
+/// switch is flipped on and the destructor writes the full metrics/span
+/// dump to PATH when the bench finishes.
+class BenchMetrics {
+ public:
+  BenchMetrics(int argc, char** argv) {
+    constexpr const char* kFlag = "--metrics-json=";
+    const size_t flag_len = std::string(kFlag).size();
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind(kFlag, 0) == 0) {
+        path_ = arg.substr(flag_len);
+        if (path_.empty()) {
+          std::fprintf(stderr, "FATAL --metrics-json needs a path\n");
+          std::exit(1);
+        }
+        obs::SetMetricsEnabled(true);
+      }
+    }
+  }
+
+  ~BenchMetrics() {
+    if (path_.empty()) return;
+    const Status status = obs::WriteMetricsJsonFile(path_);
+    if (!status.ok()) {
+      std::fprintf(stderr, "FATAL writing %s: %s\n", path_.c_str(),
+                   status.ToString().c_str());
+      std::exit(1);
+    }
+    std::printf("metrics written to %s\n", path_.c_str());
+  }
+
+  BenchMetrics(const BenchMetrics&) = delete;
+  BenchMetrics& operator=(const BenchMetrics&) = delete;
+
+ private:
+  std::string path_;
+};
 
 constexpr int kRuns = 3;
 
@@ -145,4 +193,7 @@ void Run() {
 }  // namespace
 }  // namespace wpred::bench
 
-int main() { wpred::bench::Run(); }
+int main(int argc, char** argv) {
+  const wpred::bench::BenchMetrics metrics(argc, argv);
+  wpred::bench::Run();
+}

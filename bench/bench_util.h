@@ -18,51 +18,9 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/workbench.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
 #include "sim/hardware.h"
 
 namespace wpred::bench {
-
-/// Opt-in metrics capture for bench binaries. Construct at the top of
-/// main(argc, argv); if `--metrics-json=PATH` is on the command line, the
-/// process-wide metrics switch is flipped on and the destructor writes the
-/// full metrics/span dump to PATH when the bench finishes.
-class BenchMetrics {
- public:
-  BenchMetrics(int argc, char** argv) {
-    constexpr const char* kFlag = "--metrics-json=";
-    const size_t flag_len = std::string(kFlag).size();
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind(kFlag, 0) == 0) {
-        path_ = arg.substr(flag_len);
-        if (path_.empty()) {
-          std::fprintf(stderr, "FATAL --metrics-json needs a path\n");
-          std::exit(1);
-        }
-        obs::SetMetricsEnabled(true);
-      }
-    }
-  }
-
-  ~BenchMetrics() {
-    if (path_.empty()) return;
-    const Status status = obs::WriteMetricsJsonFile(path_);
-    if (!status.ok()) {
-      std::fprintf(stderr, "FATAL writing %s: %s\n", path_.c_str(),
-                   status.ToString().c_str());
-      std::exit(1);
-    }
-    std::printf("metrics written to %s\n", path_.c_str());
-  }
-
-  BenchMetrics(const BenchMetrics&) = delete;
-  BenchMetrics& operator=(const BenchMetrics&) = delete;
-
- private:
-  std::string path_;
-};
 
 /// Aborts the bench with a readable message on error (benches have no
 /// caller to propagate to).

@@ -43,8 +43,7 @@ class ElasticNet : public Regressor {
   bool warm_start() const { return warm_start_; }
   /// Full coordinate-descent sweeps the last Fit() took (== max_iter when
   /// the tolerance was never reached); 0 before any fit. The warm-start
-  /// equivalence tests and bench_streaming_ingest read this to show the
-  /// resume actually saves work.
+  /// equivalence tests read this to show the resume actually saves work.
   int last_sweeps() const { return last_sweeps_; }
 
  private:

@@ -420,6 +420,16 @@ TEST_F(ServeTest, BitFlippedCheckpointFailsTheChecksum) {
   EXPECT_EQ(contents.status().code(), StatusCode::kIoError);
   EXPECT_NE(contents.status().message().find("checksum"), std::string::npos)
       << contents.status().message();
+
+  // A service pointed at the flipped file refuses to restore from it and,
+  // with no corpus to fall back to, stays cold and refuses reads.
+  ServiceConfig config = FastService();
+  config.checkpoint_path = path;
+  PredictionService service(config);
+  EXPECT_FALSE(service.StartFromCheckpoint().ok());
+  const auto read = service.Predict(*observed_, 8);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kUnavailable);
   std::remove(path.c_str());
 }
 
@@ -478,11 +488,15 @@ TEST_F(ServeTest, PayloadDecodeRejectsGarbageWithoutCrashing) {
 
 // --- concurrency (runs under TSan in CI) ------------------------------------
 
+// ServeTest's shared corpus under a separate suite name, so CI's TSan
+// filter selects exactly these tests.
+class ServeConcurrencyTest : public ServeTest {};
+
 // Readers hammer the box while a writer publishes many epochs: every guard
 // must see a fully constructed snapshot whose payload is internally
 // consistent (no torn state), and epochs must never run backwards within a
 // reader thread... the left-right invariants, empirically.
-TEST(ServeConcurrencyTest, SnapshotBoxReadersNeverSeeTornState) {
+TEST_F(ServeConcurrencyTest, SnapshotBoxReadersNeverSeeTornState) {
   SnapshotBox box;
   constexpr uint64_t kEpochs = 400;
   constexpr int kReaders = 4;
@@ -530,20 +544,9 @@ TEST(ServeConcurrencyTest, SnapshotBoxReadersNeverSeeTornState) {
 // Full-service version: concurrent Predicts during repeated refit publishes
 // must always succeed and stay bit-identical to the snapshot's fit (the
 // corpus never changes, so every epoch serves the same numbers).
-TEST(ServeConcurrencyTest, PredictsStayCorrectAcrossConcurrentRefits) {
-  WorkbenchConfig wb;
-  wb.workloads = {"TPC-C", "Twitter"};
-  wb.skus = {MakeCpuSku(2), MakeCpuSku(8)};
-  wb.terminals = {8};
-  wb.runs = 2;
-  wb.sim.duration_s = 30.0;
-  wb.sim.sample_period_s = 0.5;
-  const ExperimentCorpus corpus = GenerateCorpus(wb).value();
-  const Experiment observed =
-      RunOne("TPC-C", MakeCpuSku(2), 8, /*run=*/5,
-             SimConfig{.duration_s = 30.0, .sample_period_s = 0.5},
-             /*base_seed=*/31415)
-          .value();
+TEST_F(ServeConcurrencyTest, PredictsStayCorrectAcrossConcurrentRefits) {
+  const ExperimentCorpus& corpus = *corpus_;
+  const Experiment& observed = *observed_;
 
   ServiceConfig config;
   config.pipeline.selector = "fANOVA";
@@ -583,6 +586,58 @@ TEST(ServeConcurrencyTest, PredictsStayCorrectAcrossConcurrentRefits) {
   EXPECT_GT(reads, 0);
   EXPECT_EQ(service.snapshot_epoch(), static_cast<uint64_t>(kRefits + 1));
   EXPECT_EQ(service.state(), ServingState::kServing);
+}
+
+// A background refit fails every attempt while readers hammer Predict:
+// every read is served from the last good snapshot, the service reports
+// degraded once the retries run out, and the next successful refit restores
+// it without changing the prediction (the corpus never changes).
+TEST_F(ServeConcurrencyTest, ReadsSurviveFailedBackgroundRefit) {
+  ServiceConfig config = FastService();
+  config.max_in_flight = 0;  // any refused read is a bug, not a shed
+  config.refit.max_attempts = 2;
+  PredictionService service(config);
+  ASSERT_TRUE(service.Start(*corpus_).ok());
+  const auto expected = service.Predict(*observed_, 8);
+  ASSERT_TRUE(expected.ok());
+
+  service.set_refit_fault_hook(
+      [] { return Status::IoError("injected: telemetry store down"); });
+  constexpr int kReaders = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> violations{0};
+  std::atomic<int64_t> reads{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto result = service.Predict(*observed_, 8);
+        reads.fetch_add(1);
+        if (!result.ok() ||
+            result->throughput_tps != expected->throughput_tps) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  service.RequestRefit(*corpus_);
+  service.WaitForRefits();
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(violations, 0);
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(service.state(), ServingState::kDegraded);
+  EXPECT_EQ(service.refit_failures(), 2u);
+  EXPECT_EQ(service.snapshot_epoch(), 1u);
+
+  service.set_refit_fault_hook(nullptr);
+  ASSERT_TRUE(service.RefitNow(*corpus_).ok());
+  EXPECT_EQ(service.state(), ServingState::kServing);
+  const auto recovered = service.Predict(*observed_, 8);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->throughput_tps, expected->throughput_tps);
 }
 
 }  // namespace

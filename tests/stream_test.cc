@@ -602,7 +602,8 @@ TEST_F(StreamIngestTest, RegimeShiftTriggersDetectionSegmentsAndRefit) {
   EXPECT_EQ(ingest->samples_ingested(), 72u);
   EXPECT_GE(ingest->change_points_detected(), 1u);
   ASSERT_GE(ingest->refits_requested(), 1u);
-  ASSERT_FALSE(refit_corpora.empty());
+  // Every requested refit reached the sink.
+  ASSERT_EQ(refit_corpora.size(), ingest->refits_requested());
   // Refit corpus = base + the materialised window.
   EXPECT_EQ(refit_corpora.front().size(), corpus_->size() + 1);
   const Experiment& window_experiment =
@@ -633,6 +634,22 @@ TEST_F(StreamIngestTest, RegimeShiftTriggersDetectionSegmentsAndRefit) {
     cursor = segment.end;
   }
   EXPECT_EQ(cursor, ingest->window().size());
+
+  // After the shift and the refits, the ingest window's representations
+  // still equal the batch builders over the materialised window.
+  const std::vector<size_t> features = {0, 1, 2};
+  const Experiment window_now = ingest->WindowExperiment();
+  const Result<Matrix> window_hist = ingest->window().HistFp(features);
+  const Result<Matrix> batch_hist =
+      BuildHistFp(window_now, features, UnitContext());
+  ASSERT_TRUE(window_hist.ok()) << window_hist.status().ToString();
+  ASSERT_TRUE(batch_hist.ok()) << batch_hist.status().ToString();
+  EXPECT_EQ(*window_hist, *batch_hist);
+  const Result<Matrix> window_mts = ingest->window().Mts(features);
+  const Result<Matrix> batch_mts = BuildMts(window_now, features, UnitContext());
+  ASSERT_TRUE(window_mts.ok()) << window_mts.status().ToString();
+  ASSERT_TRUE(batch_mts.ok()) << batch_mts.status().ToString();
+  EXPECT_EQ(*window_mts, *batch_mts);
 }
 
 TEST_F(StreamIngestTest, OldChangePointsSlideOutOfTheWindow) {
