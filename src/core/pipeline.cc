@@ -240,12 +240,18 @@ Result<Pipeline::PreparedObservation> Pipeline::PrepareObserved(
     const Experiment& observed) const {
   obs::Span prepare_span("quality_gate");
   PreparedObservation prepared;
-  prepared.repaired = observed;
+  prepared.observed = &observed;
   prepared.features = selected_features_;
-  if (!config_.quality_gate) return prepared;
+  if (!config_.quality_gate ||
+      PassesUntouched(observed, config_.quality, selected_features_)) {
+    return prepared;
+  }
 
+  // The gate would write (or refuse): repair a copy, as for a reference.
+  WPRED_COUNT_ADD("pipeline.observation_repairs", 1);
+  prepared.repaired = observed;
   WPRED_ASSIGN_OR_RETURN(const DataQualityReport report,
-                         RepairExperiment(prepared.repaired, config_.quality));
+                         RepairExperiment(*prepared.repaired, config_.quality));
   const std::vector<size_t> unusable = report.UnusableFeatures();
   if (unusable.empty()) return prepared;
 
@@ -299,7 +305,7 @@ Result<std::vector<Pipeline::WorkloadDistance>> Pipeline::RankPrepared(
   obs::Span rank_span("similarity_ranking");
   WPRED_ASSIGN_OR_RETURN(
       Matrix rep,
-      BuildRepresentation(config_.representation, observation.repaired,
+      BuildRepresentation(config_.representation, observation.experiment(),
                           observation.features, ctx_));
   // Distances compute in parallel into per-reference slots; the per-workload
   // aggregation below runs after the join in reference order, keeping the
@@ -366,7 +372,7 @@ Result<std::vector<Neighbor>> Pipeline::NearestReferences(
                          PrepareObserved(observed));
   WPRED_ASSIGN_OR_RETURN(
       const Matrix rep,
-      BuildRepresentation(config_.representation, prepared.repaired,
+      BuildRepresentation(config_.representation, prepared.experiment(),
                           prepared.features, ctx_));
   if (prepared.degraded) {
     // Degraded feature sets don't match the engine's cached representations;

@@ -201,12 +201,20 @@ class Pipeline {
   Status SelectFeatures(const ExperimentCorpus& gated);
   Status FitFromSelection(ExperimentCorpus gated);
 
-  /// Observed telemetry after the quality gate: repaired copy plus the
-  /// effective (possibly substituted) feature set.
+  /// Observed telemetry after the quality gate plus the effective (possibly
+  /// substituted) feature set. Telemetry the gate would leave untouched
+  /// (PassesUntouched, or the gate disabled) is read in place from the
+  /// caller's `observed`, which outlives the read; only telemetry the gate
+  /// writes to is copied and repaired into `repaired`.
   struct PreparedObservation {
-    Experiment repaired;
+    const Experiment* observed = nullptr;
+    std::optional<Experiment> repaired;
     std::vector<size_t> features;
     bool degraded = false;
+
+    const Experiment& experiment() const {
+      return repaired.has_value() ? *repaired : *observed;
+    }
   };
   Result<PreparedObservation> PrepareObserved(const Experiment& observed) const;
   Result<std::vector<WorkloadDistance>> RankPrepared(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/string_util.h"
 #include "linalg/stats.h"
 
 namespace wpred {
@@ -21,12 +22,23 @@ Result<Vector> FeatureValues(const Experiment& experiment, size_t feature,
     if (experiment.resource.num_samples() == 0) {
       return Status::InvalidArgument("experiment has no resource samples");
     }
+    if (feature >= experiment.resource.values.cols()) {
+      return Status::InvalidArgument(StrFormat(
+          "resource feature %zu missing: experiment has %zu resource columns",
+          feature, experiment.resource.values.cols()));
+    }
     raw = experiment.resource.values.Col(feature);
   } else {
     if (experiment.plans.num_observations() == 0) {
       return Status::InvalidArgument("experiment has no plan observations");
     }
-    raw = experiment.plans.values.Col(feature - kNumResourceFeatures);
+    const size_t column = feature - kNumResourceFeatures;
+    if (column >= experiment.plans.values.cols()) {
+      return Status::InvalidArgument(StrFormat(
+          "plan feature %zu missing: experiment has %zu plan columns",
+          feature, experiment.plans.values.cols()));
+    }
+    raw = experiment.plans.values.Col(column);
   }
   for (double& v : raw) v = NormalizeValue(ctx, feature, v);
   return raw;
@@ -39,14 +51,19 @@ NormalizationContext ComputeNormalization(const ExperimentCorpus& corpus) {
   ctx.min.assign(kNumFeatures, 1e300);
   ctx.max.assign(kNumFeatures, -1e300);
   for (const Experiment& e : corpus.experiments()) {
-    for (size_t f = 0; f < kNumResourceFeatures; ++f) {
+    // Bounded by cols() as well: a malformed (narrow) experiment must not
+    // read past its matrix; FeatureValues rejects it later.
+    const size_t resource_cols =
+        std::min(kNumResourceFeatures, e.resource.values.cols());
+    for (size_t f = 0; f < resource_cols; ++f) {
       for (size_t r = 0; r < e.resource.num_samples(); ++r) {
         const double v = e.resource.values(r, f);
         ctx.min[f] = std::min(ctx.min[f], v);
         ctx.max[f] = std::max(ctx.max[f], v);
       }
     }
-    for (size_t f = 0; f < kNumPlanFeatures; ++f) {
+    const size_t plan_cols = std::min(kNumPlanFeatures, e.plans.values.cols());
+    for (size_t f = 0; f < plan_cols; ++f) {
       for (size_t r = 0; r < e.plans.num_observations(); ++r) {
         const double v = e.plans.values(r, f);
         ctx.min[kNumResourceFeatures + f] =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/string_util.h"
 #include "linalg/stats.h"
@@ -12,13 +13,13 @@ namespace {
 /// Consistency constant turning MAD into a Gaussian-comparable sigma.
 constexpr double kMadToSigma = 1.4826;
 
-/// Detection pass over one resource feature column (no mutation).
-FeatureQuality ScanColumn(const Matrix& values, size_t c,
-                          const QualityPolicy& policy) {
+/// O(n) detection pass over one resource feature column: non-finite counts,
+/// the longest non-zero run, and the dead/stuck verdicts. No allocation and
+/// no mutation; outlier_count is left at 0 (see CountMadOutliers).
+FeatureQuality ScanRuns(const Matrix& values, size_t c,
+                        const QualityPolicy& policy) {
   FeatureQuality q;
   const size_t n = values.rows();
-  Vector finite;
-  finite.reserve(n);
   size_t run = 0;
   double run_value = 0.0;
   for (size_t r = 0; r < n; ++r) {
@@ -33,7 +34,6 @@ FeatureQuality ScanColumn(const Matrix& values, size_t c,
       run = 0;
       continue;
     }
-    finite.push_back(v);
     if (run > 0 && v == run_value) {
       ++run;
     } else {
@@ -46,29 +46,56 @@ FeatureQuality ScanColumn(const Matrix& values, size_t c,
   }
 
   const size_t bad = q.nan_count + q.inf_count;
-  q.dead = n == 0 || finite.empty() ||
+  q.dead = n == 0 || bad == n ||
            static_cast<double>(bad) >
                policy.max_bad_fraction * static_cast<double>(n);
-  if (!q.dead && n > 0) {
+  if (!q.dead) {
     q.stuck = static_cast<double>(q.longest_stuck_run) >=
               policy.stuck_run_fraction * static_cast<double>(n);
   }
+  return q;
+}
 
-  if (finite.size() >= 4) {
-    const double med = Median(finite);
-    Vector dev(finite.size());
-    for (size_t i = 0; i < finite.size(); ++i) {
-      dev[i] = std::fabs(finite[i] - med);
-    }
-    const double mad = Median(dev);
-    if (mad > 0.0) {
-      const double fence = policy.mad_outlier_threshold * kMadToSigma * mad;
-      for (double v : finite) {
-        if (std::fabs(v - med) > fence) ++q.outlier_count;
-      }
+/// Median and outlier fence of a column's finite samples.
+struct MadFence {
+  double median = 0.0;
+  double fence = 0.0;
+};
+
+/// Robust fence |x - median| > threshold · 1.4826 · MAD over the finite
+/// samples of column c; nullopt when fewer than 4 are finite or MAD is 0.
+std::optional<MadFence> ComputeMadFence(const Matrix& values, size_t c,
+                                        const QualityPolicy& policy) {
+  Vector finite;
+  finite.reserve(values.rows());
+  for (size_t r = 0; r < values.rows(); ++r) {
+    if (std::isfinite(values(r, c))) finite.push_back(values(r, c));
+  }
+  if (finite.size() < 4) return std::nullopt;
+  const double med = Median(finite);
+  Vector dev(finite.size());
+  for (size_t i = 0; i < finite.size(); ++i) {
+    dev[i] = std::fabs(finite[i] - med);
+  }
+  const double mad = Median(dev);
+  if (!(mad > 0.0)) return std::nullopt;
+  return MadFence{med, policy.mad_outlier_threshold * kMadToSigma * mad};
+}
+
+/// MAD outliers among the finite samples of column c (two Median
+/// selections; only reports and winsorization consume this).
+size_t CountMadOutliers(const Matrix& values, size_t c,
+                        const QualityPolicy& policy) {
+  const std::optional<MadFence> fence = ComputeMadFence(values, c, policy);
+  if (!fence) return 0;
+  size_t outliers = 0;
+  for (size_t r = 0; r < values.rows(); ++r) {
+    const double v = values(r, c);
+    if (std::isfinite(v) && std::fabs(v - fence->median) > fence->fence) {
+      ++outliers;
     }
   }
-  return q;
+  return outliers;
 }
 
 /// Linear interpolation of non-finite gaps from the nearest finite
@@ -104,23 +131,13 @@ void InterpolateGaps(Matrix& values, size_t c) {
 
 /// Clamps MAD outliers to the fence.
 void Winsorize(Matrix& values, size_t c, const QualityPolicy& policy) {
-  const size_t n = values.rows();
-  Vector col;
-  col.reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    if (std::isfinite(values(r, c))) col.push_back(values(r, c));
-  }
-  if (col.size() < 4) return;
-  const double med = Median(col);
-  Vector dev(col.size());
-  for (size_t i = 0; i < col.size(); ++i) dev[i] = std::fabs(col[i] - med);
-  const double mad = Median(dev);
-  if (mad <= 0.0) return;
-  const double fence = policy.mad_outlier_threshold * kMadToSigma * mad;
-  for (size_t r = 0; r < n; ++r) {
+  const std::optional<MadFence> fence = ComputeMadFence(values, c, policy);
+  if (!fence) return;
+  for (size_t r = 0; r < values.rows(); ++r) {
     double& v = values(r, c);
     if (!std::isfinite(v)) continue;
-    v = std::clamp(v, med - fence, med + fence);
+    v = std::clamp(v, fence->median - fence->fence,
+                   fence->median + fence->fence);
   }
 }
 
@@ -130,7 +147,9 @@ DataQualityReport Detect(const Experiment& e, const QualityPolicy& policy) {
   report.features.resize(kNumResourceFeatures);
   for (size_t c = 0; c < kNumResourceFeatures && c < e.resource.values.cols();
        ++c) {
-    report.features[c] = ScanColumn(e.resource.values, c, policy);
+    report.features[c] = ScanRuns(e.resource.values, c, policy);
+    report.features[c].outlier_count =
+        CountMadOutliers(e.resource.values, c, policy);
   }
   for (double v : e.plans.values.data()) {
     if (!std::isfinite(v)) ++report.plan_bad_values;
@@ -199,6 +218,30 @@ std::string DataQualityReport::Summary() const {
 DataQualityReport AnalyzeExperiment(const Experiment& experiment,
                                     const QualityPolicy& policy) {
   return Detect(experiment, policy);
+}
+
+bool PassesUntouched(const Experiment& experiment, const QualityPolicy& policy,
+                     std::span<const size_t> features) {
+  const Matrix& values = experiment.resource.values;
+  if (policy.winsorize_outliers) return false;
+  if (values.rows() < std::max<size_t>(1, policy.min_samples)) return false;
+  if (values.cols() != kNumResourceFeatures) return false;
+  if (!std::isfinite(experiment.perf.throughput_tps) ||
+      !std::isfinite(experiment.perf.mean_latency_ms)) {
+    return false;
+  }
+  for (double v : values.data()) {
+    if (!std::isfinite(v)) return false;
+  }
+  for (double v : experiment.plans.values.data()) {
+    if (!std::isfinite(v)) return false;
+  }
+  for (size_t f : features) {
+    if (f < kNumResourceFeatures && ScanRuns(values, f, policy).stuck) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Result<DataQualityReport> RepairExperiment(Experiment& experiment,

@@ -1,6 +1,7 @@
 #ifndef WPRED_TELEMETRY_QUALITY_H_
 #define WPRED_TELEMETRY_QUALITY_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,16 @@ DataQualityReport AnalyzeExperiment(const Experiment& experiment,
 ///    target itself is corrupt).
 Result<DataQualityReport> RepairExperiment(Experiment& experiment,
                                            const QualityPolicy& policy = {});
+
+/// Copy-free screen: true only when RepairExperiment(experiment, policy)
+/// would succeed, write nothing, and report none of `features` unusable —
+/// at least max(1, min_samples) samples, exactly kNumResourceFeatures
+/// resource columns, a finite perf summary, every resource and plan value
+/// finite, winsorization off, and no selected resource column stuck. One
+/// O(n) pass per check, no allocation, no MAD statistics; a false answer
+/// says nothing about why (run RepairExperiment for the report).
+bool PassesUntouched(const Experiment& experiment, const QualityPolicy& policy,
+                     std::span<const size_t> features);
 
 /// Per-experiment outcome of gating a corpus.
 struct CorpusQualityReport {

@@ -1,14 +1,19 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
 #include "core/workbench.h"
 #include "linalg/stats.h"
+#include "obs/metrics.h"
 #include "sim/hardware.h"
 #include "telemetry/faults.h"
 #include "telemetry/io.h"
@@ -260,6 +265,135 @@ TEST_F(QualityTest, WinsorizationIsOptIn) {
   EXPECT_LT(Max(e.resource.values.Col(0)), spiked_max);
 }
 
+// --- copy-free screen --------------------------------------------------------
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::equal(a.data().begin(), a.data().end(), b.data().begin(),
+                    [](double x, double y) {
+                      return std::bit_cast<uint64_t>(x) ==
+                             std::bit_cast<uint64_t>(y);
+                    });
+}
+
+// The screen's contract, read off the whole-experiment gate: RepairExperiment
+// on a copy succeeds, leaves every resource and plan double bit-unchanged,
+// and reports none of `features` unusable.
+bool GateLeavesUntouched(const Experiment& e, const QualityPolicy& policy,
+                         const std::vector<size_t>& features) {
+  Experiment copy = e;
+  const Result<DataQualityReport> report = RepairExperiment(copy, policy);
+  if (!report.ok()) return false;
+  if (!SameBits(copy.resource.values, e.resource.values) ||
+      !SameBits(copy.plans.values, e.plans.values)) {
+    return false;
+  }
+  for (size_t f : report->UnusableFeatures()) {
+    if (std::find(features.begin(), features.end(), f) != features.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Feature sets to screen for: the paper's top-7 (one resource column among
+// six plan columns) and every resource column.
+const std::vector<std::vector<size_t>>& ScreenFeatureSets() {
+  static const auto* sets = new std::vector<std::vector<size_t>>{
+      {14, 4, 20, 10, 26, 15, 21}, {0, 1, 2, 3, 4, 5, 6}};
+  return *sets;
+}
+
+TEST_F(QualityTest, ScreenPassesCleanRunsAndDeclinesEveryWritingFault) {
+  const SimConfig sim{.duration_s = 40.0, .sample_period_s = 0.5};
+  const QualityPolicy policy;
+  for (const char* workload :
+       {"TPC-C", "TPC-H", "TPC-DS", "Twitter", "YCSB", "PW"}) {
+    SCOPED_TRACE(workload);
+    const Experiment clean =
+        RunOne(workload, MakeCpuSku(2), 8, 0, sim, 4242).value();
+    for (const std::vector<size_t>& features : ScreenFeatureSets()) {
+      // The fast path is taken on clean telemetry.
+      EXPECT_TRUE(PassesUntouched(clean, policy, features));
+      EXPECT_TRUE(GateLeavesUntouched(clean, policy, features));
+    }
+    // With the default policy the screen is exact: it declines precisely
+    // when the gate would fail, write, or flag a screened feature.
+    for (int c = 0; c < static_cast<int>(kNumResourceFeatures); ++c) {
+      for (const FaultSpec& spec :
+           {FaultSpec::Noise(0.1), FaultSpec::Outliers(0.05, 10.0),
+            FaultSpec::DropSamples(0.2), FaultSpec::SensorDropout(c),
+            FaultSpec::StuckSensor(0.6, c), FaultSpec::DuplicateSamples(0.1),
+            FaultSpec::OutOfOrderSamples(0.1), FaultSpec::TruncateRun(0.05)}) {
+        SCOPED_TRACE(spec.ToString());
+        Experiment faulted = clean;
+        Rng rng(100 + static_cast<uint64_t>(c));
+        ASSERT_TRUE(ApplyFault(spec, faulted, rng).ok());
+        for (const std::vector<size_t>& features : ScreenFeatureSets()) {
+          EXPECT_EQ(PassesUntouched(faulted, policy, features),
+                    GateLeavesUntouched(faulted, policy, features));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(QualityTest, ScreenDeclinesWhateverTheGateWouldWriteOrRefuse) {
+  const QualityPolicy policy;
+  std::vector<Experiment> declined;
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Experiment plan = Sample();
+    plan.plans.values(0, 3) = bad;
+    declined.push_back(plan);
+    Experiment resource = Sample();
+    resource.resource.values(7, 4) = bad;
+    declined.push_back(resource);
+  }
+  Experiment throughput = Sample();
+  throughput.perf.throughput_tps = std::nan("");
+  declined.push_back(throughput);
+  Experiment latency = Sample();
+  latency.perf.mean_latency_ms = HUGE_VAL;
+  declined.push_back(latency);
+  Experiment short_run = Sample();
+  short_run.resource.values =
+      short_run.resource.values.SelectRows({0, 1, 2, 3, 4});  // < 8 samples
+  declined.push_back(short_run);
+  for (size_t i = 0; i < declined.size(); ++i) {
+    SCOPED_TRACE(i);
+    for (const std::vector<size_t>& features : ScreenFeatureSets()) {
+      EXPECT_FALSE(PassesUntouched(declined[i], policy, features));
+      EXPECT_FALSE(GateLeavesUntouched(declined[i], policy, features));
+    }
+  }
+
+  // An idle all-zero column is neither dead nor stuck: the screen passes.
+  Experiment idle = Sample();
+  for (size_t r = 0; r < idle.resource.num_samples(); ++r) {
+    idle.resource.values(r, 4) = 0.0;
+  }
+  for (const std::vector<size_t>& features : ScreenFeatureSets()) {
+    EXPECT_TRUE(PassesUntouched(idle, policy, features));
+    EXPECT_TRUE(GateLeavesUntouched(idle, policy, features));
+  }
+
+  // A stuck column blocks the screen only when it is screened for.
+  Experiment stuck = Sample();
+  Rng rng(7);
+  ASSERT_TRUE(ApplyFault(FaultSpec::StuckSensor(0.8, 0), stuck, rng).ok());
+  EXPECT_TRUE(PassesUntouched(stuck, policy, ScreenFeatureSets()[0]));
+  EXPECT_FALSE(PassesUntouched(stuck, policy, ScreenFeatureSets()[1]));
+
+  // Winsorization may clamp, and a missing column is not the catalog's: the
+  // screen declines both without asking why.
+  QualityPolicy clamp;
+  clamp.winsorize_outliers = true;
+  EXPECT_FALSE(PassesUntouched(Sample(), clamp, ScreenFeatureSets()[1]));
+  Experiment narrow = Sample();
+  narrow.resource.values = narrow.resource.values.SelectCols({0, 1});
+  EXPECT_FALSE(PassesUntouched(narrow, policy, ScreenFeatureSets()[0]));
+}
+
 TEST_F(QualityTest, GateCorpusQuarantinesOnlyTheUnrepairable) {
   ExperimentCorpus dirty = *corpus_;
   Rng rng(7);
@@ -380,6 +514,183 @@ TEST_F(QualityTest, RankingSurvivesRepairableNoise) {
   const auto ranked = pipeline.RankWorkloads(observed);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   EXPECT_EQ(ranked->front().workload, "TPC-C");
+}
+
+// --- the read path reads only the selected features -------------------------
+
+// Every read the pipeline serves for one observation.
+struct Reads {
+  Pipeline::Prediction prediction;
+  std::vector<Pipeline::WorkloadDistance> ranked;
+  std::vector<Neighbor> neighbors;
+};
+
+Reads ReadAll(const Pipeline& pipeline, const Experiment& observed) {
+  Reads reads;
+  auto prediction = pipeline.PredictThroughput(observed, 8);
+  EXPECT_TRUE(prediction.ok()) << prediction.status().ToString();
+  if (prediction.ok()) reads.prediction = std::move(prediction).value();
+  auto ranked = pipeline.RankWorkloads(observed);
+  EXPECT_TRUE(ranked.ok()) << ranked.status().ToString();
+  if (ranked.ok()) reads.ranked = std::move(ranked).value();
+  auto neighbors = pipeline.NearestReferences(observed, 3);
+  EXPECT_TRUE(neighbors.ok()) << neighbors.status().ToString();
+  if (neighbors.ok()) reads.neighbors = std::move(neighbors).value();
+  return reads;
+}
+
+void ExpectSameReads(const Reads& a, const Reads& b) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.prediction.throughput_tps),
+            std::bit_cast<uint64_t>(b.prediction.throughput_tps));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.prediction.similarity_distance),
+            std::bit_cast<uint64_t>(b.prediction.similarity_distance));
+  EXPECT_EQ(a.prediction.reference_workload, b.prediction.reference_workload);
+  EXPECT_EQ(a.prediction.degraded, b.prediction.degraded);
+  EXPECT_EQ(a.prediction.effective_features, b.prediction.effective_features);
+  ASSERT_EQ(a.ranked.size(), b.ranked.size());
+  for (size_t i = 0; i < a.ranked.size(); ++i) {
+    EXPECT_EQ(a.ranked[i].workload, b.ranked[i].workload);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.ranked[i].mean_distance),
+              std::bit_cast<uint64_t>(b.ranked[i].mean_distance));
+  }
+  EXPECT_EQ(a.neighbors, b.neighbors);
+}
+
+// The whole-experiment gate's substitution, replayed from the report:
+// healthy selected features in order, then the next-ranked healthy features
+// the representation can express.
+std::vector<size_t> OracleEffectiveFeatures(const Pipeline& pipeline,
+                                            const Experiment& observed) {
+  const std::vector<size_t> unusable =
+      AnalyzeExperiment(observed, pipeline.config().quality).UnusableFeatures();
+  auto is_unusable = [&](size_t f) {
+    return std::find(unusable.begin(), unusable.end(), f) != unusable.end();
+  };
+  const std::vector<size_t>& selected = pipeline.selected_features();
+  std::vector<size_t> effective;
+  for (size_t f : selected) {
+    if (!is_unusable(f)) effective.push_back(f);
+  }
+  const size_t lost = selected.size() - effective.size();
+  size_t added = 0;
+  const FeatureRanking& ranking = pipeline.feature_ranking();
+  for (size_t f : ranking.TopK(ranking.ranks.size())) {
+    if (added == lost) break;
+    if (is_unusable(f) ||
+        std::find(selected.begin(), selected.end(), f) != selected.end() ||
+        (pipeline.config().representation == Representation::kMts &&
+         f >= kNumResourceFeatures)) {
+      continue;
+    }
+    effective.push_back(f);
+    ++added;
+  }
+  return effective;
+}
+
+uint64_t ObservationRepairs() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("pipeline.observation_repairs")
+      .value();
+}
+
+// Metamorphic relation: dropout or stuck-at in an unselected resource column
+// of the observation leaves every read bit-identical to the clean
+// observation's, undegraded. A fault in a selected column degrades to the
+// whole-experiment gate's substitution. pipeline.observation_repairs counts
+// the reads that copied the observation.
+void ExpectReadsSeeOnlySelectedColumns(const PipelineConfig& config,
+                                       const ExperimentCorpus& corpus) {
+  Pipeline pipeline(config);
+  ASSERT_TRUE(pipeline.Fit(corpus).ok());
+  const std::vector<size_t>& selected = pipeline.selected_features();
+  const SimConfig sim{.duration_s = 40.0, .sample_period_s = 0.5};
+  const Experiment clean =
+      RunOne("TPC-C", MakeCpuSku(2), 8, 9, sim, 555).value();
+
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+  const Reads baseline = ReadAll(pipeline, clean);
+  EXPECT_FALSE(baseline.prediction.degraded);
+  EXPECT_EQ(baseline.prediction.effective_features, selected);
+  for (int i = 0; i < 4; ++i) {
+    ExpectSameReads(ReadAll(pipeline, clean), baseline);
+  }
+  EXPECT_EQ(ObservationRepairs(), 0u);  // 15 clean reads, no copy
+
+  size_t unselected_columns = 0;
+  for (int c = 0; c < static_cast<int>(kNumResourceFeatures); ++c) {
+    const bool is_selected =
+        std::find(selected.begin(), selected.end(), static_cast<size_t>(c)) !=
+        selected.end();
+    unselected_columns += is_selected ? 0 : 1;
+    for (const FaultSpec& spec :
+         {FaultSpec::SensorDropout(c), FaultSpec::StuckSensor(0.8, c)}) {
+      SCOPED_TRACE(spec.ToString());
+      Experiment faulted = clean;
+      Rng rng(7);
+      ASSERT_TRUE(ApplyFault(spec, faulted, rng).ok());
+      // Dropout always writes (zero-fill); stuck-at copies only when a
+      // selected column froze.
+      const bool copies = spec.kind == FaultKind::kSensorDropout || is_selected;
+      const uint64_t before = ObservationRepairs();
+      const Reads reads = ReadAll(pipeline, faulted);
+      EXPECT_EQ(ObservationRepairs() - before, copies ? 3u : 0u);
+      if (!is_selected) {
+        ExpectSameReads(reads, baseline);
+        continue;
+      }
+      EXPECT_TRUE(reads.prediction.degraded);
+      EXPECT_EQ(reads.prediction.effective_features,
+                OracleEffectiveFeatures(pipeline, faulted));
+      EXPECT_EQ(std::count(reads.prediction.effective_features.begin(),
+                           reads.prediction.effective_features.end(),
+                           static_cast<size_t>(c)),
+                0);
+    }
+  }
+  EXPECT_GT(unselected_columns, 0u);
+  obs::SetMetricsEnabled(false);
+  obs::MetricsRegistry::Global().ResetAll();
+}
+
+// On this corpus fANOVA + Hist-FP selects plan features only, so every
+// resource column is an unselected one; the MTS run covers selected ones.
+TEST_F(QualityTest, ReadsSeeOnlySelectedColumnsHistFp) {
+  PipelineConfig config;
+  config.selector = "fANOVA";
+  ExpectReadsSeeOnlySelectedColumns(config, *corpus_);
+}
+
+TEST_F(QualityTest, ReadsSeeOnlySelectedColumnsMts) {
+  ExpectReadsSeeOnlySelectedColumns(FastMtsConfig(), *corpus_);
+}
+
+// A resource matrix with fewer columns than the catalog used to abort the
+// process (Matrix::Col's CHECK) once a selected feature fell outside it.
+TEST_F(QualityTest, NarrowObservationIsRejectedNotFatal) {
+  for (bool gate : {true, false}) {
+    SCOPED_TRACE(gate ? "gate on" : "gate off");
+    PipelineConfig config = FastMtsConfig();
+    config.quality_gate = gate;
+    Pipeline pipeline(config);
+    ASSERT_TRUE(pipeline.Fit(*corpus_).ok());
+    const std::vector<size_t>& selected = pipeline.selected_features();
+    ASSERT_TRUE(std::any_of(selected.begin(), selected.end(),
+                            [](size_t f) { return f >= 2; }));
+    Experiment narrow = Sample();
+    narrow.resource.values = narrow.resource.values.SelectCols({0, 1});
+    EXPECT_FALSE(PassesUntouched(narrow, config.quality, selected));
+
+    const auto prediction = pipeline.PredictThroughput(narrow, 8);
+    ASSERT_FALSE(prediction.ok());
+    EXPECT_EQ(prediction.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(pipeline.RankWorkloads(narrow).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(pipeline.NearestReferences(narrow, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(pipeline.PredictThroughput(Sample(), 8).ok());
+  }
 }
 
 // --- acceptance: dirty corpus on disk, end to end ---------------------------

@@ -4,6 +4,7 @@
 // TSan in CI: readers hammer the left-right SnapshotBox while a writer
 // publishes, proving the wait-free read path has no torn state.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -172,6 +173,34 @@ TEST_F(ServeTest, ServiceMatchesStandalonePipelineBitForBit) {
   EXPECT_EQ(served->throughput_tps, direct->throughput_tps);
   EXPECT_EQ(served->similarity_distance, direct->similarity_distance);
   EXPECT_EQ(served->reference_workload, direct->reference_workload);
+}
+
+TEST_F(ServeTest, NarrowObservationFailsTheReadNotTheServer) {
+  // An MTS pipeline selects resource columns only, so a two-column resource
+  // matrix is missing some of them (this used to abort in Matrix::Col).
+  ServiceConfig config = FastService();
+  config.pipeline.representation = Representation::kMts;
+  config.pipeline.measure = "Canb-Norm";
+  config.pipeline.top_k = 4;
+  PredictionService service(config);
+  ASSERT_TRUE(service.Start(*corpus_).ok());
+  const auto before = service.Predict(*observed_, 8);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(std::any_of(before->effective_features.begin(),
+                          before->effective_features.end(),
+                          [](size_t f) { return f >= 2; }));
+
+  Experiment narrow = *observed_;
+  narrow.resource.values = narrow.resource.values.SelectCols({0, 1});
+  const auto prediction = service.Predict(narrow, 8);
+  ASSERT_FALSE(prediction.ok());
+  EXPECT_EQ(prediction.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.state(), ServingState::kServing);
+
+  const auto after = service.Predict(*observed_, 8);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->throughput_tps, before->throughput_tps);
+  EXPECT_EQ(after->similarity_distance, before->similarity_distance);
 }
 
 // --- refit supervision & degradation ----------------------------------------

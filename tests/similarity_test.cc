@@ -1,5 +1,6 @@
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -329,6 +330,36 @@ TEST(RepresentationTest, NormalizationContextCoversCorpus) {
   EXPECT_DOUBLE_EQ(NormalizeValue(ctx, 0, ctx.max[0]), 1.0);
   // Out of range clamps.
   EXPECT_DOUBLE_EQ(NormalizeValue(ctx, 0, ctx.max[0] + 100), 1.0);
+}
+
+TEST(RepresentationTest, MissingColumnsAreRejectedNotRead) {
+  const ExperimentCorpus corpus = SyntheticCorpus();
+  Experiment narrow = corpus[0];
+  narrow.resource.values = corpus[0].resource.values.SelectCols({0, 1});
+  narrow.plans.values = corpus[0].plans.values.SelectCols({0});
+  // Normalisation reads only the columns an experiment has; the narrow
+  // copy's values are a subset of corpus[0]'s, so the context is unchanged.
+  ExperimentCorpus with_narrow = corpus;
+  with_narrow.Add(narrow);
+  const NormalizationContext ctx = ComputeNormalization(corpus);
+  const NormalizationContext widened = ComputeNormalization(with_narrow);
+  EXPECT_EQ(widened.min, ctx.min);
+  EXPECT_EQ(widened.max, ctx.max);
+
+  for (Representation representation :
+       {Representation::kMts, Representation::kHistFp,
+        Representation::kPhaseFp}) {
+    SCOPED_TRACE(std::string(RepresentationName(representation)));
+    EXPECT_EQ(BuildRepresentation(representation, narrow, {0, 2}, ctx)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(BuildRepresentation(representation, narrow, {1, 0}, ctx).ok());
+  }
+  EXPECT_EQ(
+      BuildHistFp(narrow, {kNumResourceFeatures + 1}, ctx).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(BuildHistFp(narrow, {kNumResourceFeatures}, ctx).ok());
 }
 
 TEST(RepresentationTest, MtsShapeAndResourceOnlyRule) {
