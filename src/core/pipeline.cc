@@ -94,7 +94,13 @@ Status PipelineConfig::Validate() const {
 Result<ExperimentCorpus> Pipeline::GateReference(
     const ExperimentCorpus& reference) {
   fit_report_ = CorpusQualityReport{};
-  if (!config_.quality_gate) return reference;
+  if (!config_.quality_gate) {
+    // Ungated, a malformed experiment cannot be quarantined: reject the fit.
+    for (const Experiment& e : reference.experiments()) {
+      WPRED_RETURN_IF_ERROR(CheckResourceWidth(e));
+    }
+    return reference;
+  }
   obs::Span gate_span("quality_gate");
   ExperimentCorpus gated;
   WPRED_ASSIGN_OR_RETURN(gated,

@@ -1,7 +1,9 @@
 #include "core/workbench.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "linalg/stats.h"
 #include "sim/workload_spec.h"
@@ -44,7 +46,13 @@ Result<ExperimentCorpus> GenerateCorpus(const WorkbenchConfig& config) {
       config.terminals.empty() || config.runs < 1) {
     return Status::InvalidArgument("empty workbench grid");
   }
-  ExperimentCorpus corpus;
+  struct Coordinate {
+    const std::string* workload;
+    const Sku* sku;
+    int terminals;
+    int run;
+  };
+  std::vector<Coordinate> grid;
   for (const std::string& workload : config.workloads) {
     WPRED_ASSIGN_OR_RETURN(const WorkloadSpec spec, WorkloadByName(workload));
     // Serial workloads collapse the terminal axis.
@@ -53,14 +61,41 @@ Result<ExperimentCorpus> GenerateCorpus(const WorkbenchConfig& config) {
     for (const Sku& sku : config.skus) {
       for (int terminals : terminal_list) {
         for (int run = 0; run < config.runs; ++run) {
-          WPRED_ASSIGN_OR_RETURN(
-              Experiment experiment,
-              RunOne(workload, sku, terminals, run, config.sim,
-                     config.base_seed));
-          corpus.Add(std::move(experiment));
+          grid.push_back({&workload, &sku, terminals, run});
         }
       }
     }
+  }
+
+  // Each coordinate's seed is a pure hash of the coordinate and its result
+  // lands in its own slot, so the corpus does not depend on the thread
+  // count. Task t runs coordinates t, t+T, t+2T, ...: a 120 s run costs
+  // about 1 ms for TPC-DS and 250 ms for YCSB at 32 terminals, and the grid
+  // is workload-major, so contiguous chunks would hand whole expensive
+  // workloads to one task. Striding spreads every kind over all tasks.
+  const size_t n = grid.size();
+  const size_t tasks =
+      std::min(n, static_cast<size_t>(DefaultNumThreads()));
+  std::vector<Experiment> experiments(n);
+  std::vector<Status> statuses(n);
+  WPRED_RETURN_IF_ERROR(
+      ParallelFor(tasks, static_cast<int>(tasks), [&](size_t t) -> Status {
+        for (size_t i = t; i < n; i += tasks) {
+          const Coordinate& c = grid[i];
+          Result<Experiment> e = RunOne(*c.workload, *c.sku, c.terminals,
+                                        c.run, config.sim, config.base_seed);
+          if (e.ok()) {
+            experiments[i] = std::move(e).value();
+          } else {
+            statuses[i] = e.status();
+          }
+        }
+        return Status::OK();
+      }));
+  ExperimentCorpus corpus;
+  for (size_t i = 0; i < n; ++i) {
+    WPRED_RETURN_IF_ERROR(statuses[i]);  // the first failure in grid order
+    corpus.Add(std::move(experiments[i]));
   }
   return corpus;
 }

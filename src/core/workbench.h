@@ -28,6 +28,8 @@ struct WorkbenchConfig {
 
 /// Runs the grid and returns the corpus. Serial-only workloads (TPC-H,
 /// TPC-DS) run once per SKU × repetition regardless of the terminal list.
+/// Coordinates run in parallel at the default thread count; the corpus is
+/// bit-identical at every thread count and keeps the grid order.
 Result<ExperimentCorpus> GenerateCorpus(const WorkbenchConfig& config);
 
 /// Runs a single experiment with the workbench's deterministic seeding.

@@ -1,30 +1,24 @@
 #include "sim/des.h"
 
-#include <utility>
+#include <algorithm>
+
+#include "common/check.h"
 
 namespace wpred {
 
-void Simulator::Schedule(double delay, Callback fn) {
+void Simulator::Schedule(double delay, EventTag tag) {
   WPRED_CHECK_GE(delay, 0.0);
-  ScheduleAt(now_ + delay, std::move(fn));
+  ScheduleAt(now_ + delay, tag);
 }
 
-void Simulator::ScheduleAt(double time, Callback fn) {
+void Simulator::ScheduleAt(double time, EventTag tag) {
   WPRED_CHECK_GE(time, now_);
-  queue_.push(Event{time, next_seq_++, std::move(fn)});
+  queue_.push(Event{time, next_seq_++, tag, 0.0});
 }
 
-void Simulator::RunUntil(double until) {
-  while (!queue_.empty() && queue_.top().time <= until) {
-    // priority_queue::top() is const; move the callback out via const_cast
-    // before pop (safe: the element is removed immediately after).
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = event.time;
-    ++processed_;
-    event.fn();
-  }
-  if (now_ < until) now_ = until;
+void Simulator::ScheduleCompletion(double service, EventTag tag) {
+  WPRED_CHECK_GE(service, 0.0);
+  queue_.push(Event{now_ + service, next_seq_++, tag, service});
 }
 
 FcfsStation::FcfsStation(Simulator* sim, int servers)
@@ -33,35 +27,44 @@ FcfsStation::FcfsStation(Simulator* sim, int servers)
   WPRED_CHECK_GE(servers, 1);
 }
 
-void FcfsStation::Submit(double service_time, Simulator::Callback on_done) {
+void FcfsStation::Submit(double service_time, EventTag on_done) {
   WPRED_CHECK_GE(service_time, 0.0);
-  Job job{service_time, sim_->now(), std::move(on_done)};
+  const Job job{service_time, sim_->now(), on_done};
   if (busy_ < servers_) {
-    StartService(std::move(job));
-  } else {
-    waiting_.push_back(std::move(job));
+    StartService(job);
+    return;
+  }
+  if (waiting_ == ring_.size()) {
+    // Full: unroll into a vector twice the size, oldest job first.
+    std::vector<Job> grown(std::max<size_t>(8, 2 * ring_.size()));
+    for (size_t i = 0; i < waiting_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + waiting_) & (ring_.size() - 1)] = job;
+  ++waiting_;
+}
+
+void FcfsStation::Complete(const Event& event) {
+  Accumulate();
+  --busy_;
+  ++completed_;
+  total_service_time_ += event.service;
+  if (waiting_ > 0) {
+    const Job next = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --waiting_;
+    StartService(next);
   }
 }
 
-void FcfsStation::StartService(Job job) {
+void FcfsStation::StartService(const Job& job) {
   Accumulate();
   ++busy_;
   total_wait_time_ += sim_->now() - job.enqueue_time;
-  const double service = job.service_time;
-  // Move the callback into the completion event.
-  auto on_done = std::move(job.on_done);
-  sim_->Schedule(service, [this, service, on_done = std::move(on_done)]() {
-    Accumulate();
-    --busy_;
-    ++completed_;
-    total_service_time_ += service;
-    if (!waiting_.empty()) {
-      Job next = std::move(waiting_.front());
-      waiting_.pop_front();
-      StartService(std::move(next));
-    }
-    on_done();
-  });
+  sim_->ScheduleCompletion(job.service_time, job.on_done);
 }
 
 void FcfsStation::Accumulate() {

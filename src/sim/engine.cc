@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "linalg/stats.h"
 #include "obs/metrics.h"
@@ -27,10 +30,12 @@ constexpr double kWarmupTauS = 25.0;
 constexpr double kRandomPageMs = 0.08;
 constexpr double kSeqPageMs = 0.02;
 
-// Per-transaction state that travels through the pipeline stages.
+// Per-transaction state that travels through the pipeline stages. The loop
+// is closed, so a terminal has at most one transaction in flight and its
+// state lives in that terminal's slot.
 struct TxnState {
   const TxnTypeSpec* txn = nullptr;
-  int terminal = 0;
+  size_t type_id = 0;  // interned transaction type name
   double start_s = 0.0;
   double granted_mb = 0.0;
   /// Run-level speed multiplier of this transaction type (plan/cache
@@ -38,11 +43,32 @@ struct TxnState {
   /// the effect that makes per-type prediction noisier than workload-level
   /// prediction, paper Figure 1).
   double type_mult = 1.0;
+  // Carried from one stage to the next.
+  double pf = 0.0;  // parallel fraction of the CPU work
+  double serial_ms = 0.0;
+  double chunk_ms = 0.0;
+  int chunks_left = 0;  // fork-join chunks still on the CPU station
+  double read_pages = 0.0;
+  double write_pages = 0.0;
+  double dirtied = 0.0;
 };
 
 struct TypeStats {
   double latency_sum_s = 0.0;
   uint64_t count = 0;
+};
+
+// What each simulator event means to the engine; an event's id is the
+// terminal, except for kSample (the sample row).
+enum EventKind : int {
+  kStartTxn,
+  kLockWaitDone,
+  kSerialCpuDone,  // CPU station
+  kChunkDone,      // CPU station
+  kIoDone,         // IO station
+  kCheckpoint,
+  kFlushDone,  // IO station; arg = pages flushed
+  kSample,
 };
 
 class EngineSim {
@@ -60,16 +86,21 @@ class EngineSim {
   const WorkloadSpec& workload() const { return request_.workload; }
   const Sku& sku() const { return request_.sku; }
 
+  void Dispatch(const Event& event);
   size_t PickTxnIndex();
   void StartTxn(int terminal);
-  void CpuPhase(std::shared_ptr<TxnState> state);
-  void IoPhase(std::shared_ptr<TxnState> state);
-  void Commit(std::shared_ptr<TxnState> state);
+  void CpuPhase(int terminal);
+  void SerialCpuDone(int terminal);
+  void ChunkDone(int terminal);
+  void IoPhase(int terminal);
+  void IoDone(int terminal);
+  void Commit(int terminal);
+  void Checkpoint();
   void TakeSample(size_t row);
 
   double ConflictProbability(const TxnTypeSpec& txn) const;
 
-  RunRequest request_;
+  const RunRequest& request_;
   Rng rng_;
   Simulator sim_;
   FcfsStation cpu_;
@@ -82,6 +113,7 @@ class EngineSim {
   double lock_wait_mult_ = 1.0;
 
   // Live state.
+  std::vector<TxnState> txns_;  // indexed by terminal
   double active_write_locks_ = 0.0;
   double active_grants_mb_ = 0.0;
   int active_txns_ = 0;
@@ -103,14 +135,54 @@ class EngineSim {
   double prev_cpu_work_ = 0.0;
 
   Matrix samples_;
-  std::map<std::string, TypeStats> type_stats_;
+  // Per-type stats by interned name id, so two types sharing a name share
+  // one accumulator.
+  std::vector<const std::string*> type_names_;
+  std::vector<TypeStats> type_stats_;
   TypeStats total_stats_;
 
   // Cumulative mix weights for transaction sampling.
   std::vector<double> cum_weights_;
-  // Per-transaction-type run-level CPU-time multiplier.
+  // Per-transaction-type run-level CPU-time multiplier and interned name id.
   std::vector<double> type_cpu_mult_;
+  std::vector<size_t> type_ids_;
 };
+
+void EngineSim::Dispatch(const Event& event) {
+  const int terminal = event.tag.id;
+  switch (event.tag.kind) {
+    case kStartTxn:
+      StartTxn(terminal);
+      break;
+    case kLockWaitDone:
+      CpuPhase(terminal);
+      break;
+    case kSerialCpuDone:
+      cpu_.Complete(event);
+      SerialCpuDone(terminal);
+      break;
+    case kChunkDone:
+      cpu_.Complete(event);
+      ChunkDone(terminal);
+      break;
+    case kIoDone:
+      io_.Complete(event);
+      IoDone(terminal);
+      break;
+    case kCheckpoint:
+      Checkpoint();
+      break;
+    case kFlushDone:
+      io_.Complete(event);
+      write_ios_ += event.tag.arg;
+      break;
+    case kSample:
+      TakeSample(static_cast<size_t>(event.tag.id));
+      break;
+    default:
+      WPRED_CHECK(false) << "unknown event kind " << event.tag.kind;
+  }
+}
 
 size_t EngineSim::PickTxnIndex() {
   const double u = rng_.Uniform(0.0, cum_weights_.back());
@@ -131,15 +203,16 @@ double EngineSim::ConflictProbability(const TxnTypeSpec& txn) const {
 }
 
 void EngineSim::StartTxn(int terminal) {
-  auto state = std::make_shared<TxnState>();
+  TxnState& state = txns_[terminal];
+  state = TxnState{};
   const size_t txn_index = PickTxnIndex();
-  state->txn = &workload().transactions[txn_index];
-  state->type_mult = type_cpu_mult_[txn_index];
-  state->terminal = terminal;
-  state->start_s = sim_.now();
+  state.txn = &workload().transactions[txn_index];
+  state.type_id = type_ids_[txn_index];
+  state.type_mult = type_cpu_mult_[txn_index];
+  state.start_s = sim_.now();
   ++active_txns_;
 
-  const TxnTypeSpec& txn = *state->txn;
+  const TxnTypeSpec& txn = *state.txn;
   lock_requests_ += txn.locks_acquired;
   const double p_conflict = ConflictProbability(txn);
   if (txn.is_write) active_write_locks_ += txn.locks_acquired;
@@ -152,61 +225,67 @@ void EngineSim::StartTxn(int terminal) {
     const double mean_wait_s =
         (0.002 + 0.004 * active_txns_ / std::max(1, sku().cpus)) *
         lock_wait_mult_;
-    sim_.Schedule(rng_.Exponential(mean_wait_s),
-                  [this, state]() { CpuPhase(state); });
+    sim_.Schedule(rng_.Exponential(mean_wait_s), {kLockWaitDone, terminal});
   } else {
-    CpuPhase(std::move(state));
+    CpuPhase(terminal);
   }
 }
 
-void EngineSim::CpuPhase(std::shared_ptr<TxnState> state) {
-  const TxnTypeSpec& txn = *state->txn;
-  state->granted_mb = std::min(txn.query_memory_mb, grant_cap_mb_);
-  active_grants_mb_ += state->granted_mb;
+void EngineSim::CpuPhase(int terminal) {
+  TxnState& state = txns_[terminal];
+  const TxnTypeSpec& txn = *state.txn;
+  state.granted_mb = std::min(txn.query_memory_mb, grant_cap_mb_);
+  active_grants_mb_ += state.granted_mb;
 
-  const double pf = std::clamp(txn.parallel_fraction, 0.0, 1.0);
-  const double serial_ms = txn.cpu_ms * state->type_mult * (1.0 - pf);
-  const double serial_s = serial_ms / 1000.0 / cpu_speed_;
-
-  cpu_.Submit(serial_s, [this, state, serial_ms, pf]() {
-    cpu_work_ref_ms_ += serial_ms;
-    const TxnTypeSpec& txn = *state->txn;
-    const int dop = std::min(sku().cpus, std::max(1, txn.max_dop));
-    if (pf <= 0.0 || dop <= 1) {
-      IoPhase(state);
-      return;
-    }
-    // Fork-join: the parallel portion splits into dop equal chunks that
-    // queue on the shared CPU station, so parallel speed-up degrades
-    // gracefully under contention (emergent Amdahl behaviour).
-    const double chunk_ms = txn.cpu_ms * state->type_mult * pf / dop;
-    const double chunk_s = chunk_ms / 1000.0 / cpu_speed_;
-    auto remaining = std::make_shared<int>(dop);
-    for (int i = 0; i < dop; ++i) {
-      cpu_.Submit(chunk_s, [this, state, remaining, chunk_ms]() {
-        cpu_work_ref_ms_ += chunk_ms;
-        if (--(*remaining) == 0) IoPhase(state);
-      });
-    }
-  });
+  state.pf = std::clamp(txn.parallel_fraction, 0.0, 1.0);
+  state.serial_ms = txn.cpu_ms * state.type_mult * (1.0 - state.pf);
+  const double serial_s = state.serial_ms / 1000.0 / cpu_speed_;
+  cpu_.Submit(serial_s, {kSerialCpuDone, terminal});
 }
 
-void EngineSim::IoPhase(std::shared_ptr<TxnState> state) {
-  const TxnTypeSpec& txn = *state->txn;
+void EngineSim::SerialCpuDone(int terminal) {
+  TxnState& state = txns_[terminal];
+  cpu_work_ref_ms_ += state.serial_ms;
+  const TxnTypeSpec& txn = *state.txn;
+  const int dop = std::min(sku().cpus, std::max(1, txn.max_dop));
+  if (state.pf <= 0.0 || dop <= 1) {
+    IoPhase(terminal);
+    return;
+  }
+  // Fork-join: the parallel portion splits into dop equal chunks that
+  // queue on the shared CPU station, so parallel speed-up degrades
+  // gracefully under contention (emergent Amdahl behaviour).
+  state.chunk_ms = txn.cpu_ms * state.type_mult * state.pf / dop;
+  const double chunk_s = state.chunk_ms / 1000.0 / cpu_speed_;
+  state.chunks_left = dop;
+  for (int i = 0; i < dop; ++i) {
+    cpu_.Submit(chunk_s, {kChunkDone, terminal});
+  }
+}
+
+void EngineSim::ChunkDone(int terminal) {
+  TxnState& state = txns_[terminal];
+  cpu_work_ref_ms_ += state.chunk_ms;
+  if (--state.chunks_left == 0) IoPhase(terminal);
+}
+
+void EngineSim::IoPhase(int terminal) {
+  TxnState& state = txns_[terminal];
+  const TxnTypeSpec& txn = *state.txn;
   const double hit = BufferHitRate(workload(), sku(), sim_.now());
   const double misses = txn.logical_ios * (1.0 - hit);
 
   // Memory-starved queries spill their overflow to tempdb: written once,
   // read back once (sequential both ways).
-  const double spill_mb = std::max(0.0, txn.query_memory_mb - state->granted_mb);
+  const double spill_mb = std::max(0.0, txn.query_memory_mb - state.granted_mb);
   const double spill_pages = spill_mb * 128.0 * 2.0;
 
   // Writers flush a share of touched pages plus the log record.
   const double flush_pages =
       txn.is_write ? 0.4 * txn.logical_ios + 2.0 : 0.0;
 
-  const double read_pages = misses + spill_pages / 2.0;
-  const double write_pages = flush_pages + spill_pages / 2.0;
+  state.read_pages = misses + spill_pages / 2.0;
+  state.write_pages = flush_pages + spill_pages / 2.0;
 
   // Large logical footprints stream sequentially; point accesses are random.
   const double miss_page_ms = txn.logical_ios > 2000.0 ? kSeqPageMs : kRandomPageMs;
@@ -217,28 +296,31 @@ void EngineSim::IoPhase(std::shared_ptr<TxnState> state) {
 
   // A share of the touched pages stays dirty in the buffer pool until the
   // periodic checkpoint flushes it.
-  const double dirtied = txn.is_write ? 0.3 * txn.logical_ios : 0.0;
-  auto finish = [this, state, read_pages, write_pages, dirtied]() {
-    read_ios_ += read_pages;
-    write_ios_ += write_pages;
-    dirty_pages_ += dirtied;
-    Commit(state);
-  };
+  state.dirtied = txn.is_write ? 0.3 * txn.logical_ios : 0.0;
   if (service_s <= 0.0) {
-    finish();
+    IoDone(terminal);
   } else {
-    io_.Submit(service_s, std::move(finish));
+    io_.Submit(service_s, {kIoDone, terminal});
   }
 }
 
-void EngineSim::Commit(std::shared_ptr<TxnState> state) {
-  const TxnTypeSpec& txn = *state->txn;
-  active_grants_mb_ -= state->granted_mb;
+void EngineSim::IoDone(int terminal) {
+  const TxnState& state = txns_[terminal];
+  read_ios_ += state.read_pages;
+  write_ios_ += state.write_pages;
+  dirty_pages_ += state.dirtied;
+  Commit(terminal);
+}
+
+void EngineSim::Commit(int terminal) {
+  const TxnState& state = txns_[terminal];
+  const TxnTypeSpec& txn = *state.txn;
+  active_grants_mb_ -= state.granted_mb;
   if (txn.is_write) active_write_locks_ -= txn.locks_acquired;
   --active_txns_;
 
-  const double latency_s = sim_.now() - state->start_s;
-  TypeStats& per_type = type_stats_[txn.name];
+  const double latency_s = sim_.now() - state.start_s;
+  TypeStats& per_type = type_stats_[state.type_id];
   per_type.latency_sum_s += latency_s;
   per_type.count += 1;
   total_stats_.latency_sum_s += latency_s;
@@ -248,8 +330,16 @@ void EngineSim::Commit(std::shared_ptr<TxnState> state) {
       workload().think_time_ms > 0.0
           ? rng_.Exponential(workload().think_time_ms / 1000.0)
           : 0.0;
-  const int terminal = state->terminal;
-  sim_.Schedule(think_s, [this, terminal]() { StartTxn(terminal); });
+  sim_.Schedule(think_s, {kStartTxn, terminal});
+}
+
+// Flushes the accumulated dirty pages in one burst.
+void EngineSim::Checkpoint() {
+  if (dirty_pages_ <= 0.0) return;
+  const double pages = dirty_pages_;
+  dirty_pages_ = 0.0;
+  const double service_s = pages * kSeqPageMs / io_speed_ / 1000.0;
+  io_.Submit(service_s, {kFlushDone, 0, pages});
 }
 
 void EngineSim::TakeSample(size_t row) {
@@ -282,7 +372,7 @@ void EngineSim::TakeSample(size_t row) {
   prev_lock_requests_ = lock_requests_;
   prev_lock_waits_ = lock_waits_;
 
-  Vector sample(kNumResourceFeatures);
+  double* sample = samples_.data().data() + row * kNumResourceFeatures;
   sample[IndexOf(FeatureId::kCpuUtilization)] = util;
   sample[IndexOf(FeatureId::kCpuEffective)] = eff;
   sample[IndexOf(FeatureId::kMemUtilization)] = mem;
@@ -291,9 +381,10 @@ void EngineSim::TakeSample(size_t row) {
   sample[IndexOf(FeatureId::kLockReqAbs)] = lock_req;
   sample[IndexOf(FeatureId::kLockWaitAbs)] = lock_wait;
 
-  // perf-style measurement noise.
-  for (double& v : sample) v = std::max(0.0, v * (1.0 + rng_.Gaussian(0.0, 0.035)));
-  samples_.SetRow(row, sample);
+  // perf-style measurement noise, drawn in column order.
+  for (size_t c = 0; c < kNumResourceFeatures; ++c) {
+    sample[c] = std::max(0.0, sample[c] * (1.0 + rng_.Gaussian(0.0, 0.035)));
+  }
 }
 
 Result<Experiment> EngineSim::Run() {
@@ -326,6 +417,17 @@ Result<Experiment> EngineSim::Run() {
     type_cpu_mult_.push_back(rng_.LogNormalMedian(1.0, 0.15));
   }
 
+  // Intern type names to dense ids once per run.
+  std::map<std::string_view, size_t> name_ids;
+  type_ids_.clear();
+  type_names_.clear();
+  for (const TxnTypeSpec& t : workload().transactions) {
+    const auto [it, inserted] = name_ids.emplace(t.name, type_names_.size());
+    if (inserted) type_names_.push_back(&t.name);
+    type_ids_.push_back(it->second);
+  }
+  type_stats_.assign(type_names_.size(), TypeStats{});
+
   cum_weights_.clear();
   double acc = 0.0;
   for (const TxnTypeSpec& t : workload().transactions) {
@@ -338,33 +440,30 @@ Result<Experiment> EngineSim::Run() {
       static_cast<size_t>(config.duration_s / config.sample_period_s + 1e-9);
   samples_ = Matrix(num_samples, kNumResourceFeatures);
 
+  txns_.assign(terminals_, TxnState{});
+
   // Stagger terminal start-up so clients do not run in lockstep.
   for (int t = 0; t < terminals_; ++t) {
     const double offset =
         rng_.Uniform(0.0, (workload().think_time_ms + 1.0) / 1000.0);
-    sim_.Schedule(offset, [this, t]() { StartTxn(t); });
+    sim_.Schedule(offset, {kStartTxn, t});
   }
   // Periodic resource sampling.
   for (size_t s = 0; s < num_samples; ++s) {
     sim_.ScheduleAt((s + 1) * config.sample_period_s,
-                    [this, s]() { TakeSample(s); });
+                    {kSample, static_cast<int>(s)});
   }
   // Periodic checkpoints: flush accumulated dirty pages in a burst.
   if (config.checkpoint_interval_s > 0.0) {
     for (double t = config.checkpoint_interval_s; t <= config.duration_s;
          t += config.checkpoint_interval_s) {
-      sim_.ScheduleAt(t, [this]() {
-        if (dirty_pages_ <= 0.0) return;
-        const double pages = dirty_pages_;
-        dirty_pages_ = 0.0;
-        const double service_s = pages * kSeqPageMs / io_speed_ / 1000.0;
-        io_.Submit(service_s, [this, pages]() { write_ios_ += pages; });
-      });
+      sim_.ScheduleAt(t, {kCheckpoint});
     }
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  sim_.RunUntil(config.duration_s);
+  sim_.RunUntil(config.duration_s,
+                [this](const Event& event) { Dispatch(event); });
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -403,9 +502,12 @@ Result<Experiment> EngineSim::Run() {
       total_stats_.count > 0
           ? 1000.0 * total_stats_.latency_sum_s / total_stats_.count
           : 0.0;
-  for (const auto& [name, stats] : type_stats_) {
-    perf.latency_ms_by_type[name] =
-        stats.count > 0 ? 1000.0 * stats.latency_sum_s / stats.count : 0.0;
+  // Only types that committed at least once get an entry.
+  for (size_t id = 0; id < type_stats_.size(); ++id) {
+    const TypeStats& stats = type_stats_[id];
+    if (stats.count == 0) continue;
+    const std::string& name = *type_names_[id];
+    perf.latency_ms_by_type[name] = 1000.0 * stats.latency_sum_s / stats.count;
     perf.throughput_tps_by_type[name] =
         static_cast<double>(stats.count) / config.duration_s;
   }

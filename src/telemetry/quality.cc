@@ -244,6 +244,14 @@ bool PassesUntouched(const Experiment& experiment, const QualityPolicy& policy,
   return true;
 }
 
+Status CheckResourceWidth(const Experiment& experiment) {
+  const size_t cols = experiment.resource.values.cols();
+  if (cols == kNumResourceFeatures) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("%s: resource matrix has %zu columns, the catalog has %zu",
+                experiment.Label().c_str(), cols, kNumResourceFeatures));
+}
+
 Result<DataQualityReport> RepairExperiment(Experiment& experiment,
                                            const QualityPolicy& policy) {
   DataQualityReport report = Detect(experiment, policy);
@@ -252,6 +260,7 @@ Result<DataQualityReport> RepairExperiment(Experiment& experiment,
         StrFormat("%zu resource samples < minimum %zu", report.num_samples,
                   policy.min_samples));
   }
+  WPRED_RETURN_IF_ERROR(CheckResourceWidth(experiment));
   if (report.perf_bad) {
     return Status::NumericalError(
         "non-finite performance summary (the prediction target is corrupt)");

@@ -89,10 +89,16 @@ struct DataQualityReport {
 DataQualityReport AnalyzeExperiment(const Experiment& experiment,
                                     const QualityPolicy& policy = {});
 
+/// OK when the experiment's resource matrix has the catalog's
+/// kNumResourceFeatures columns; kInvalidArgument naming the width otherwise.
+Status CheckResourceWidth(const Experiment& experiment);
+
 /// Detects and repairs in place. Returns the report of what was found and
 /// fixed, or a non-OK Status when the telemetry is beyond repair:
 ///  - kFailedPrecondition: too few samples, too many dead features, or a
 ///    dead feature with drop_dead_features disabled;
+///  - kInvalidArgument: a resource matrix narrower or wider than the
+///    catalog (CheckResourceWidth);
 ///  - kNumericalError: non-finite performance summary (the prediction
 ///    target itself is corrupt).
 Result<DataQualityReport> RepairExperiment(Experiment& experiment,

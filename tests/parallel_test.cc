@@ -15,10 +15,12 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/workbench.h"
 #include "featsel/wrapper.h"
 #include "ml/cross_validation.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "sim/hardware.h"
 #include "similarity/measures.h"
 #include "telemetry/experiment.h"
 #include "telemetry/feature_catalog.h"
@@ -352,6 +354,52 @@ TEST(DeterminismTest, SfsBitIdenticalAcrossThreadCounts) {
     for (size_t f = 0; f < a->size(); ++f) {
       EXPECT_EQ((*a)[f], (*b)[f]) << (forward ? "forward" : "backward")
                                   << " feature " << f;
+    }
+  }
+}
+
+// GenerateCorpus runs its grid on the pool at the default thread count;
+// every experiment lands in its coordinate's slot, so the corpus is the same
+// bits, in the same order, at any thread count.
+TEST(DeterminismTest, GenerateCorpusBitIdenticalAcrossThreadCounts) {
+  WorkbenchConfig config;
+  config.workloads = {"TPC-C", "TPC-H", "YCSB"};
+  config.skus = {MakeCpuSku(2), MakeCpuSku(8)};
+  config.terminals = {4, 8};
+  config.runs = 2;
+  config.sim.duration_s = 10.0;
+  std::vector<ExperimentCorpus> corpora;
+  for (int threads : {1, 2, 8}) {
+    SetDefaultNumThreads(threads);
+    auto corpus = GenerateCorpus(config);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+    corpora.push_back(std::move(corpus).value());
+  }
+  SetDefaultNumThreads(0);
+  const ExperimentCorpus& serial = corpora[0];
+  ASSERT_EQ(serial.size(), 20u);  // TPC-H collapses the terminal axis
+  for (size_t k = 1; k < corpora.size(); ++k) {
+    const ExperimentCorpus& parallel = corpora[k];
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      const Experiment& a = serial[i];
+      const Experiment& b = parallel[i];
+      EXPECT_EQ(a.workload, b.workload) << i;
+      EXPECT_EQ(a.cpus, b.cpus) << i;
+      EXPECT_EQ(a.terminals, b.terminals) << i;
+      EXPECT_EQ(a.run_id, b.run_id) << i;
+      const auto same_bits = [](const Matrix& x, const Matrix& y) {
+        return x.data().size() == y.data().size() &&
+               std::memcmp(x.data().data(), y.data().data(),
+                           x.data().size() * sizeof(double)) == 0;
+      };
+      EXPECT_TRUE(same_bits(a.resource.values, b.resource.values)) << i;
+      EXPECT_TRUE(same_bits(a.plans.values, b.plans.values)) << i;
+      EXPECT_EQ(std::memcmp(&a.perf.throughput_tps, &b.perf.throughput_tps,
+                            sizeof(double)),
+                0)
+          << i;
+      EXPECT_EQ(a.perf.latency_ms_by_type, b.perf.latency_ms_by_type) << i;
     }
   }
 }

@@ -425,6 +425,45 @@ PipelineConfig FastMtsConfig() {
   return config;
 }
 
+// A resource matrix of the wrong width cannot be repaired. The gate
+// quarantines it with InvalidArgument, and a gated fit goes on without it.
+TEST_F(QualityTest, GateQuarantinesWrongResourceWidth) {
+  ExperimentCorpus dirty = *corpus_;
+  dirty[0].resource.values = dirty[0].resource.values.SelectCols({0, 1});
+  Experiment wide = Sample();
+  wide.resource.values =
+      wide.resource.values.SelectCols({0, 1, 2, 3, 4, 5, 6, 6});
+  for (Experiment e : {dirty[0], wide}) {
+    const auto repaired = RepairExperiment(e);
+    ASSERT_FALSE(repaired.ok());
+    EXPECT_EQ(repaired.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  CorpusQualityReport report;
+  const auto kept = GateCorpus(dirty, QualityPolicy{}, &report);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->size(), dirty.size() - 1);
+  ASSERT_EQ(report.quarantined, std::vector<size_t>{0});
+  EXPECT_EQ(report.items[0].status.code(), StatusCode::kInvalidArgument);
+
+  Pipeline pipeline(FastMtsConfig());
+  ASSERT_TRUE(pipeline.Fit(dirty).ok());
+  EXPECT_EQ(pipeline.fit_report().quarantined, std::vector<size_t>{0});
+}
+
+// Ungated, nothing can quarantine it: Fit rejects the corpus with a Status
+// instead of aborting the process.
+TEST_F(QualityTest, UngatedFitRejectsWrongResourceWidth) {
+  ExperimentCorpus dirty = *corpus_;
+  dirty[3].resource.values = dirty[3].resource.values.SelectCols({0, 1});
+  PipelineConfig config = FastMtsConfig();
+  config.quality_gate = false;
+  Pipeline pipeline(config);
+  const Status status = pipeline.Fit(dirty);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_FALSE(pipeline.fitted());
+}
+
 TEST_F(QualityTest, FitSurvivesDirtyCorpusAndReportsQuarantine) {
   ExperimentCorpus dirty = *corpus_;
   Rng rng(7);

@@ -140,6 +140,25 @@ TEST_F(ServeTest, ColdServiceRefusesReadsWithUnavailable) {
   EXPECT_EQ(service.snapshot_epoch(), 0u);
 }
 
+// A reference experiment of the wrong resource width fails an ungated
+// Start, not the process; gated, it is quarantined and the rest serve.
+TEST_F(ServeTest, StartRejectsWrongResourceWidth) {
+  ExperimentCorpus narrow = *corpus_;
+  narrow[1].resource.values = narrow[1].resource.values.SelectCols({0, 1, 2});
+  ServiceConfig ungated = FastService();
+  ungated.pipeline.quality_gate = false;
+  PredictionService service(ungated);
+  const Status status = service.Start(narrow);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(service.snapshot_epoch(), 0u);
+  EXPECT_EQ(service.Predict(*observed_, 8).status().code(),
+            StatusCode::kUnavailable);
+
+  PredictionService gated(FastService());
+  ASSERT_TRUE(gated.Start(narrow).ok());
+  EXPECT_TRUE(gated.Predict(*observed_, 8).ok());
+}
+
 TEST_F(ServeTest, StartPublishesEpochOneAndServes) {
   PredictionService service(FastService());
   ASSERT_TRUE(service.Start(*corpus_).ok());

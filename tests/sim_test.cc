@@ -1,9 +1,13 @@
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/workbench.h"
 #include "linalg/stats.h"
+#include "obs/metrics.h"
 #include "sim/des.h"
 #include "sim/engine.h"
 #include "sim/hardware.h"
@@ -18,10 +22,10 @@ namespace {
 TEST(DesTest, EventsRunInTimeOrderWithFifoTies) {
   Simulator sim;
   std::vector<int> order;
-  sim.Schedule(2.0, [&] { order.push_back(3); });
-  sim.Schedule(1.0, [&] { order.push_back(1); });
-  sim.Schedule(1.0, [&] { order.push_back(2); });  // same time, later insert
-  sim.RunUntil(10.0);
+  sim.Schedule(2.0, {3});
+  sim.Schedule(1.0, {1});
+  sim.Schedule(1.0, {2});  // same time, later insert
+  sim.RunUntil(10.0, [&](const Event& e) { order.push_back(e.tag.kind); });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
   EXPECT_EQ(sim.processed_events(), 3u);
@@ -30,29 +34,59 @@ TEST(DesTest, EventsRunInTimeOrderWithFifoTies) {
 TEST(DesTest, RunUntilStopsAtBoundary) {
   Simulator sim;
   bool ran = false;
-  sim.Schedule(5.0, [&] { ran = true; });
-  sim.RunUntil(4.0);
+  const auto run = [&](const Event&) { ran = true; };
+  sim.Schedule(5.0, {});
+  sim.RunUntil(4.0, run);
   EXPECT_FALSE(ran);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
-  sim.RunUntil(6.0);
+  sim.RunUntil(6.0, run);
   EXPECT_TRUE(ran);
 }
 
 TEST(DesTest, NestedSchedulingFromCallbacks) {
   Simulator sim;
   double fired_at = -1.0;
-  sim.Schedule(1.0, [&] { sim.Schedule(2.0, [&] { fired_at = sim.now(); }); });
-  sim.RunUntil(10.0);
+  sim.Schedule(1.0, {0});
+  sim.RunUntil(10.0, [&](const Event& e) {
+    if (e.tag.kind == 0) {
+      sim.Schedule(2.0, {1});
+    } else {
+      fired_at = sim.now();
+    }
+  });
   EXPECT_DOUBLE_EQ(fired_at, 3.0);
+}
+
+TEST(DesTest, EventsCarryTheirTag) {
+  Simulator sim;
+  sim.Schedule(1.0, {7, -3, 0.25});
+  std::vector<Event> seen;
+  sim.RunUntil(2.0, [&](const Event& e) { seen.push_back(e); });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].tag.kind, 7);
+  EXPECT_EQ(seen[0].tag.id, -3);
+  EXPECT_DOUBLE_EQ(seen[0].tag.arg, 0.25);
+  EXPECT_DOUBLE_EQ(seen[0].time, 1.0);
+}
+
+// Runs `sim` until `until`, completing every event on `station` and
+// recording the clock at each completion.
+std::vector<double> RunStation(Simulator& sim, FcfsStation& station,
+                               double until) {
+  std::vector<double> done;
+  sim.RunUntil(until, [&](const Event& e) {
+    station.Complete(e);
+    done.push_back(sim.now());
+  });
+  return done;
 }
 
 TEST(FcfsStationTest, SingleServerSerializesJobs) {
   Simulator sim;
   FcfsStation station(&sim, 1);
-  std::vector<double> done;
-  station.Submit(1.0, [&] { done.push_back(sim.now()); });
-  station.Submit(1.0, [&] { done.push_back(sim.now()); });
-  sim.RunUntil(10.0);
+  station.Submit(1.0, {});
+  station.Submit(1.0, {});
+  const std::vector<double> done = RunStation(sim, station, 10.0);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_DOUBLE_EQ(done[0], 1.0);
   EXPECT_DOUBLE_EQ(done[1], 2.0);  // waited for the first
@@ -63,11 +97,10 @@ TEST(FcfsStationTest, SingleServerSerializesJobs) {
 TEST(FcfsStationTest, MultiServerRunsInParallel) {
   Simulator sim;
   FcfsStation station(&sim, 2);
-  std::vector<double> done;
-  station.Submit(1.0, [&] { done.push_back(sim.now()); });
-  station.Submit(1.0, [&] { done.push_back(sim.now()); });
-  station.Submit(1.0, [&] { done.push_back(sim.now()); });
-  sim.RunUntil(10.0);
+  station.Submit(1.0, {});
+  station.Submit(1.0, {});
+  station.Submit(1.0, {});
+  const std::vector<double> done = RunStation(sim, station, 10.0);
   ASSERT_EQ(done.size(), 3u);
   EXPECT_DOUBLE_EQ(done[0], 1.0);
   EXPECT_DOUBLE_EQ(done[1], 1.0);
@@ -77,12 +110,33 @@ TEST(FcfsStationTest, MultiServerRunsInParallel) {
 TEST(FcfsStationTest, BusyIntegralTracksUtilization) {
   Simulator sim;
   FcfsStation station(&sim, 2);
-  station.Submit(2.0, [] {});
-  station.Submit(1.0, [] {});
-  sim.RunUntil(4.0);
+  station.Submit(2.0, {});
+  station.Submit(1.0, {});
+  RunStation(sim, station, 4.0);
   // One server busy 2 s, the other 1 s.
   EXPECT_DOUBLE_EQ(station.BusyIntegral(), 3.0);
   EXPECT_DOUBLE_EQ(station.total_service_time(), 3.0);
+}
+
+// The waiting ring wraps and grows while it drains: 20 queued jobs behind
+// one server, submitted in two waves, still finish in arrival order.
+TEST(FcfsStationTest, WaitingJobsKeepArrivalOrderAcrossRingGrowth) {
+  Simulator sim;
+  FcfsStation station(&sim, 1);
+  for (int i = 0; i < 6; ++i) station.Submit(1.0, {i});
+  std::vector<int> order;
+  const auto complete = [&](const Event& e) {
+    station.Complete(e);
+    order.push_back(e.tag.kind);
+  };
+  sim.RunUntil(3.5, complete);  // jobs 0-2 done; the ring head has moved
+  for (int i = 6; i < 21; ++i) station.Submit(1.0, {i});
+  EXPECT_EQ(station.queue_length(), 17u);
+  sim.RunUntil(100.0, complete);
+  ASSERT_EQ(order.size(), 21u);
+  for (int i = 0; i < 21; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(station.queue_length(), 0u);
+  EXPECT_DOUBLE_EQ(station.total_service_time(), 21.0);
 }
 
 TEST(WorkloadSpecTest, Table1MetadataMatchesPaper) {
@@ -287,6 +341,77 @@ TEST(EngineTest, CheckpointsProduceWriteBursts) {
   const double spike_cp = Max(iops_cp) / (Median(iops_cp) + 1.0);
   const double spike_plain = Max(iops_plain) / (Median(iops_plain) + 1.0);
   EXPECT_GT(spike_cp, 2.0 * spike_plain);
+}
+
+// FNV-1a over the bytes of every value the simulator hands downstream.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 1099511628211ULL;
+    }
+  }
+  void Double(double v) { Bytes(&v, sizeof v); }
+  void U64(uint64_t v) { Bytes(&v, sizeof v); }
+  void Str(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ULL;
+};
+
+uint64_t SimEventsProcessed() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("sim.events_processed")
+      .value();
+}
+
+// Golden oracle of the simulator: a digest of RunOne's output over every
+// workload (PW's 500+ transaction types included) at two SKUs, two terminal
+// counts and three runs. The value was computed before the typed-event
+// kernel replaced the callback kernel; any change to event order, RNG draw
+// order or floating-point evaluation order moves it.
+TEST(EngineTest, GoldenDigestPinsRunOneOutput) {
+  SimConfig sim;
+  sim.duration_s = 30.0;
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const uint64_t events_before = SimEventsProcessed();
+  Fnv1a digest;
+  for (const char* workload :
+       {"TPC-C", "Twitter", "TPC-H", "TPC-DS", "YCSB", "PW"}) {
+    for (int cpus : {2, 8}) {
+      for (int terminals : {4, 32}) {
+        for (int run = 0; run < 3; ++run) {
+          const auto e =
+              RunOne(workload, MakeCpuSku(cpus), terminals, run, sim, 0xbe9c4);
+          ASSERT_TRUE(e.ok()) << e.status().ToString();
+          for (double v : e.value().resource.values.data()) digest.Double(v);
+          for (double v : e.value().plans.values.data()) digest.Double(v);
+          const PerfSummary& perf = e.value().perf;
+          digest.Double(perf.throughput_tps);
+          digest.Double(perf.mean_latency_ms);
+          for (const auto& [name, v] : perf.latency_ms_by_type) {
+            digest.Str(name);
+            digest.Double(v);
+          }
+          for (const auto& [name, v] : perf.throughput_tps_by_type) {
+            digest.Str(name);
+            digest.Double(v);
+          }
+        }
+      }
+    }
+  }
+  const uint64_t events = SimEventsProcessed() - events_before;
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  digest.U64(events);
+  EXPECT_EQ(events, 5580218u);
+  EXPECT_EQ(digest.value(), 11801176868821394969ULL);
 }
 
 TEST(EngineTest, RejectsInvalidConfig) {
