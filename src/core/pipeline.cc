@@ -26,6 +26,34 @@ Status NotFittedError(const char* method) {
                 method));
 }
 
+// One (workload, terminals) key's scaling models. A failure travels in
+// `status` rather than failing the slot, so the caller reports the first
+// error in key order whatever order the slots ran in.
+struct ScalingFit {
+  Status status;
+  bool fitted = false;  // false: fewer than two SKUs, no model
+  PairwiseScalingModel pairwise;
+  SingleScalingModel single;
+};
+
+ScalingFit FitScalingModels(const ExperimentCorpus& gated,
+                            const std::pair<std::string, int>& key,
+                            const PipelineConfig& config) {
+  ScalingFit fit;
+  Result<std::vector<SkuPerfPoint>> points = CollectScalingPoints(
+      gated, key.first, key.second, config.subsamples);
+  if (!points.ok()) {
+    fit.status = points.status();
+    return fit;
+  }
+  if (DistinctSkuValues(*points).size() < 2) return fit;
+  fit.status = fit.pairwise.Fit(config.strategy, *points);
+  if (!fit.status.ok()) return fit;
+  fit.status = fit.single.Fit(config.strategy, *points);
+  fit.fitted = fit.status.ok();
+  return fit;
+}
+
 }  // namespace
 
 Status PipelineConfig::Validate() const {
@@ -215,26 +243,31 @@ Status Pipeline::FitFromSelection(ExperimentCorpus gated) {
     reference_workloads_.push_back(e.workload);
   }
 
-  // Stage 3: scaling models per (workload, terminal count).
+  // Stage 3: scaling models per (workload, terminal count). The keys fit
+  // independently, one slot each; the merge walks the slots in key order, so
+  // the maps, the count and the first error are a serial loop's.
   obs::Span models_span("model_fit");
   pairwise_.clear();
   single_.clear();
-  std::set<std::pair<std::string, int>> keys;
+  std::set<std::pair<std::string, int>> key_set;
   for (const Experiment& e : gated.experiments()) {
-    keys.insert({e.workload, e.terminals});
+    key_set.insert({e.workload, e.terminals});
   }
-  for (const auto& [workload, terminals] : keys) {
-    WPRED_ASSIGN_OR_RETURN(
-        std::vector<SkuPerfPoint> points,
-        CollectScalingPoints(gated, workload, terminals,
-                             config_.subsamples));
-    if (DistinctSkuValues(points).size() < 2) continue;  // single-SKU corpus
-    PairwiseScalingModel pairwise;
-    WPRED_RETURN_IF_ERROR(pairwise.Fit(config_.strategy, points));
-    pairwise_[{workload, terminals}] = std::move(pairwise);
-    SingleScalingModel single;
-    WPRED_RETURN_IF_ERROR(single.Fit(config_.strategy, points));
-    single_[{workload, terminals}] = std::move(single);
+  const std::vector<std::pair<std::string, int>> keys(key_set.begin(),
+                                                      key_set.end());
+  WPRED_ASSIGN_OR_RETURN(
+      std::vector<ScalingFit> fits,
+      ParallelMap<ScalingFit>(keys.size(), config_.num_threads,
+                              [&](size_t i) -> Result<ScalingFit> {
+                                return FitScalingModels(gated, keys[i],
+                                                        config_);
+                              }));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ScalingFit& fit = fits[i];
+    WPRED_RETURN_IF_ERROR(fit.status);
+    if (!fit.fitted) continue;  // single-SKU corpus
+    pairwise_[keys[i]] = std::move(fit.pairwise);
+    single_[keys[i]] = std::move(fit.single);
     WPRED_COUNT_ADD("pipeline.scaling_models_fit", 2);
   }
   reference_corpus_ = std::move(gated);

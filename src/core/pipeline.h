@@ -33,9 +33,10 @@ struct PipelineConfig {
   /// Sub-experiments per experiment for feature selection / augmentation.
   size_t subsamples = 10;
   /// Worker threads for the parallel stages (wrapper feature selection,
-  /// reference-representation building, similarity ranking); < 1 means the
-  /// process default (WPRED_THREADS env var, else hardware concurrency), 1
-  /// forces the serial path. Results are bit-identical at any setting.
+  /// reference-representation building, scaling-model fits, similarity
+  /// ranking); < 1 means the process default (WPRED_THREADS env var, else
+  /// hardware concurrency), 1 forces the serial path. Results are
+  /// bit-identical at any setting.
   int num_threads = 0;
   /// Traces per contiguous shard of the reference corpus inside the
   /// similarity engine (scheduling/layout granularity for the parallel

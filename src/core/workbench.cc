@@ -158,15 +158,21 @@ Result<std::vector<SkuPerfPoint>> CollectScalingPoints(
   for (const Experiment& e : corpus.experiments()) {
     if (e.workload != workload) continue;
     if (e.terminals != terminals) continue;
-    WPRED_ASSIGN_OR_RETURN(std::vector<Experiment> subs,
-                           SystematicSubsample(e, subsamples));
+    // Only the sub-experiments' rows are needed: building the
+    // sub-experiments would copy the plans and latencies ten times over.
+    WPRED_ASSIGN_OR_RETURN(
+        const std::vector<std::vector<size_t>> subs,
+        SystematicSubsampleRows(e.resource.num_samples(), subsamples));
     // The run's mean activity anchors the sub-sample jitter.
-    const Vector activity_full =
-        e.resource.values.Col(IndexOf(FeatureId::kCpuEffective));
+    const size_t cpu = IndexOf(FeatureId::kCpuEffective);
+    const Vector activity_full = e.resource.values.Col(cpu);
     const double full_mean = Mean(activity_full) + 1e-9;
+    Vector activity;
     for (size_t s = 0; s < subs.size(); ++s) {
-      const Vector activity =
-          subs[s].resource.values.Col(IndexOf(FeatureId::kCpuEffective));
+      activity.clear();
+      for (const size_t r : subs[s]) {
+        activity.push_back(e.resource.values(r, cpu));
+      }
       const double factor = (Mean(activity) + 1e-9) / full_mean;
       SkuPerfPoint point;
       point.sku_value = e.cpus;

@@ -28,6 +28,9 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y) {
   const size_t n = xs.rows();
   const size_t p = xs.cols();
   const size_t k = static_cast<size_t>(num_classes_);
+  // Feature j's column is xt[j·n, (j+1)·n): the score pass runs lanes across
+  // rows instead of one serial chain of adds per (row, class).
+  const std::vector<double> xt = xs.ColumnMajor();
 
   weights_ = Matrix(k, p);
   bias_.assign(k, 0.0);
@@ -35,31 +38,44 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y) {
   Vector vel_b(k, 0.0);
   const double momentum = 0.9;
 
-  std::vector<double> probs(k);
+  // scores[c·n + r] holds class c's score for row r, then its softmax error.
+  // Every buffer is allocated once per fit and zeroed in place.
+  std::vector<double> scores(k * n);
   Matrix grad_w(k, p);
   Vector grad_b(k);
   for (int iter = 0; iter < max_iter_; ++iter) {
-    grad_w = Matrix(k, p);
-    grad_b.assign(k, 0.0);
+    // Each row still adds the bias, then its features in j order, so every
+    // score is bit-equal to the row-at-a-time dot product.
+    for (size_t c = 0; c < k; ++c) {
+      double* s = scores.data() + c * n;
+      std::fill(s, s + n, bias_[c]);
+      for (size_t j = 0; j < p; ++j) {
+        const double w = weights_(c, j);
+        const double* col = xt.data() + j * n;
+        for (size_t r = 0; r < n; ++r) s[r] += w * col[r];
+      }
+    }
+    std::fill(grad_w.data().begin(), grad_w.data().end(), 0.0);
+    std::fill(grad_b.begin(), grad_b.end(), 0.0);
     for (size_t r = 0; r < n; ++r) {
-      // Softmax over class scores.
+      // Softmax over class scores; gradients accumulate in row order.
       double max_score = -1e300;
       for (size_t c = 0; c < k; ++c) {
-        double score = bias_[c];
-        for (size_t j = 0; j < p; ++j) score += weights_(c, j) * xs(r, j);
-        probs[c] = score;
-        max_score = std::max(max_score, score);
+        max_score = std::max(max_score, scores[c * n + r]);
       }
       double z = 0.0;
       for (size_t c = 0; c < k; ++c) {
-        probs[c] = std::exp(probs[c] - max_score);
-        z += probs[c];
+        double& e = scores[c * n + r];
+        e = std::exp(e - max_score);
+        z += e;
       }
+      const double* x_row = xs.data().data() + r * p;
       for (size_t c = 0; c < k; ++c) {
         const double err =
-            probs[c] / z - (static_cast<int>(c) == y[r] ? 1.0 : 0.0);
+            scores[c * n + r] / z - (static_cast<int>(c) == y[r] ? 1.0 : 0.0);
         grad_b[c] += err;
-        for (size_t j = 0; j < p; ++j) grad_w(c, j) += err * xs(r, j);
+        double* g = grad_w.data().data() + c * p;
+        for (size_t j = 0; j < p; ++j) g[j] += err * x_row[j];
       }
     }
     const double inv_n = 1.0 / static_cast<double>(n);

@@ -29,6 +29,10 @@ class LogisticRegression : public Classifier {
   Result<Vector> PredictProba(const Vector& row) const;
 
   int num_classes() const { return num_classes_; }
+  /// Fitted weights (num_classes x num_features, standardised space) and
+  /// per-class bias.
+  const Matrix& weights() const { return weights_; }
+  const Vector& bias() const { return bias_; }
 
  private:
   Vector Scores(const Vector& standardized_row) const;

@@ -6,10 +6,17 @@
 
 namespace wpred {
 
-double SvmRegressor::Kernel(const Vector& a, const Vector& b) const {
-  if (params_.kernel == SvmKernel::kLinear) return Dot(a, b) + 1.0;
+// Both operands are rows of support_.cols() doubles, read in place; the
+// sums run in index order.
+double SvmRegressor::Kernel(const double* a, const double* b) const {
+  const size_t p = support_.cols();
+  if (params_.kernel == SvmKernel::kLinear) {
+    double dot = 0.0;
+    for (size_t i = 0; i < p; ++i) dot += a[i] * b[i];
+    return dot + 1.0;
+  }
   double sq = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < p; ++i) {
     const double d = a[i] - b[i];
     sq += d * d;
   }
@@ -47,10 +54,11 @@ Status SvmRegressor::Fit(const Matrix& x, const Vector& y) {
   // Precompute the kernel matrix (training sets here are small: the paper's
   // scaling models fit on tens of points).
   Matrix k(n, n);
+  const double* rows = support_.data().data();
+  const size_t p = support_.cols();
   for (size_t i = 0; i < n; ++i) {
-    const Vector row_i = support_.Row(i);
     for (size_t j = i; j < n; ++j) {
-      const double v = Kernel(row_i, support_.Row(j));
+      const double v = Kernel(rows + i * p, rows + j * p);
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -88,9 +96,11 @@ Result<double> SvmRegressor::Predict(const Vector& row) const {
     return Status::InvalidArgument("feature arity mismatch");
   }
   const Vector z = x_scaler_.TransformRow(row);
+  const double* rows = support_.data().data();
+  const size_t p = support_.cols();
   double f = 0.0;
   for (size_t j = 0; j < support_.rows(); ++j) {
-    if (beta_[j] != 0.0) f += beta_[j] * Kernel(z, support_.Row(j));
+    if (beta_[j] != 0.0) f += beta_[j] * Kernel(z.data(), rows + j * p);
   }
   return y_scaler_.InverseTransform(f);
 }

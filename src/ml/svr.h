@@ -40,7 +40,7 @@ class SvmRegressor : public Regressor {
   size_t NumSupportVectors() const;
 
  private:
-  double Kernel(const Vector& a, const Vector& b) const;
+  double Kernel(const double* a, const double* b) const;
 
   SvrParams params_;
   StandardScaler x_scaler_;

@@ -15,19 +15,28 @@ Experiment WithResourceRows(const Experiment& base,
 
 }  // namespace
 
-Result<std::vector<Experiment>> SystematicSubsample(const Experiment& experiment,
-                                                    size_t count) {
+Result<std::vector<std::vector<size_t>>> SystematicSubsampleRows(size_t n,
+                                                                 size_t count) {
   if (count == 0) return Status::InvalidArgument("count must be >= 1");
-  const size_t n = experiment.resource.num_samples();
   if (n < count) {
     return Status::InvalidArgument("fewer resource samples than sub-experiments");
   }
+  std::vector<std::vector<size_t>> out(count);
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t r = i; r < n; r += count) out[i].push_back(r);
+  }
+  return out;
+}
+
+Result<std::vector<Experiment>> SystematicSubsample(const Experiment& experiment,
+                                                    size_t count) {
+  WPRED_ASSIGN_OR_RETURN(
+      const std::vector<std::vector<size_t>> rows,
+      SystematicSubsampleRows(experiment.resource.num_samples(), count));
   std::vector<Experiment> out;
   out.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    std::vector<size_t> rows;
-    for (size_t r = i; r < n; r += count) rows.push_back(r);
-    out.push_back(WithResourceRows(experiment, rows, static_cast<int>(i)));
+    out.push_back(WithResourceRows(experiment, rows[i], static_cast<int>(i)));
   }
   return out;
 }

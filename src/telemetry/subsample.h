@@ -17,6 +17,12 @@ namespace wpred {
 Result<std::vector<Experiment>> SystematicSubsample(const Experiment& experiment,
                                                     size_t count);
 
+/// The resource rows of SystematicSubsample's sub-experiments over `n`
+/// samples, without building them: entry i is {i, i+count, i+2·count, ...}.
+/// Same requirements and errors as SystematicSubsample.
+Result<std::vector<std::vector<size_t>>> SystematicSubsampleRows(size_t n,
+                                                                 size_t count);
+
 /// Random down-sampling per paper Section 6.2 (data augmentation): draws
 /// `count` sub-series of `fraction`·n samples each, without replacement
 /// within a sub-series, preserving time order.

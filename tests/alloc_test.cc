@@ -1,8 +1,9 @@
-// Heap-allocation guard for the simulator's event loop. This file builds into
-// its own test binary (wpred_alloc_tests): it replaces the global allocation
-// functions with counting ones, and keeping that replacement out of
-// wpred_tests leaves the sanitizer's own new/delete checks (mismatched
-// new[]/delete, wrong sized delete) on for the rest of the suite.
+// Heap-allocation guards for the simulator's event loop and two model
+// kernels. This file builds into its own test binary (wpred_alloc_tests): it
+// replaces the global allocation functions with counting ones, and keeping
+// that replacement out of wpred_tests leaves the sanitizer's own new/delete
+// checks (mismatched new[]/delete, wrong sized delete) on for the rest of
+// the suite.
 
 #include <atomic>
 #include <cstdint>
@@ -11,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "ml/logistic_regression.h"
+#include "ml/svr.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/hardware.h"
@@ -58,6 +62,53 @@ TEST(EngineTest, EventLoopDoesNotAllocate) {
   ASSERT_GT(events, 10000u);
   EXPECT_LT(allocations * 100, events)
       << allocations << " allocations for " << events << " events";
+}
+
+// LogisticRegression::Fit allocates its score, error and gradient buffers
+// once per fit, so a longer run allocates nothing more.
+TEST(LogisticRegressionTest, FitAllocationsDoNotGrowWithIterations) {
+  Rng rng(5);
+  Matrix x(200, 29);
+  std::vector<int> y(200);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    y[r] = static_cast<int>(r % 2);
+    for (size_t j = 0; j < x.cols(); ++j) {
+      x(r, j) = rng.Gaussian(j % 3 == 0 ? y[r] : 0.0, 1.0);
+    }
+  }
+  const auto fit_allocations = [&](int max_iter) {
+    LogisticRegression model(1e-3, max_iter);
+    const uint64_t before = HeapAllocations();
+    const Status status = model.Fit(x, y);
+    const uint64_t allocations = HeapAllocations() - before;
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return allocations;
+  };
+  EXPECT_EQ(fit_allocations(10), fit_allocations(300));
+}
+
+// SvmRegressor::Predict reads the support vectors in place: a prediction
+// allocates the same at 10 support vectors as at 100.
+TEST(SvmRegressorTest, PredictAllocationsDoNotGrowWithSupportVectors) {
+  const auto predict_allocations = [](size_t n) {
+    Rng rng(n);
+    Matrix x(n, 3);
+    Vector y(n);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t j = 0; j < x.cols(); ++j) x(r, j) = rng.Uniform(-1.0, 1.0);
+      y[r] = x(r, 0) - 2.0 * x(r, 1) + rng.Gaussian(0.0, 0.5);
+    }
+    SvmRegressor model;
+    EXPECT_TRUE(model.Fit(x, y).ok());
+    EXPECT_GT(model.NumSupportVectors(), n / 2) << n << " rows";
+    const Vector row = {0.1, -0.2, 0.3};
+    const uint64_t before = HeapAllocations();
+    const Result<double> prediction = model.Predict(row);
+    const uint64_t allocations = HeapAllocations() - before;
+    EXPECT_TRUE(prediction.ok());
+    return allocations;
+  };
+  EXPECT_EQ(predict_allocations(10), predict_allocations(100));
 }
 
 }  // namespace

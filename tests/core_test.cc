@@ -4,8 +4,10 @@
 
 #include "core/pipeline.h"
 #include "core/workbench.h"
+#include "linalg/stats.h"
 #include "sim/hardware.h"
 #include "telemetry/feature_catalog.h"
+#include "telemetry/subsample.h"
 
 namespace wpred {
 namespace {
@@ -101,6 +103,30 @@ TEST_F(CoreTest, CollectScalingPointsMatchable) {
   const auto matched = MatchAcrossSkus(points.value(), 2.0, 8.0);
   EXPECT_EQ(matched.size(), 2u * 10u);
   EXPECT_FALSE(CollectScalingPoints(*corpus_, "YCSB", 8, 10).ok());
+}
+
+// Each point's throughput is the run's, scaled by its systematic
+// sub-experiment's mean activity over the run's: the same bits as reading
+// that mean off the sub-experiment SystematicSubsample builds.
+TEST_F(CoreTest, CollectScalingPointsFollowSubExperimentActivity) {
+  const auto points = CollectScalingPoints(*corpus_, "Twitter", 8, 10);
+  ASSERT_TRUE(points.ok());
+  const size_t cpu = IndexOf(FeatureId::kCpuEffective);
+  size_t next = 0;
+  for (const Experiment& e : corpus_->experiments()) {
+    if (e.workload != "Twitter") continue;
+    const auto subs = SystematicSubsample(e, 10);
+    ASSERT_TRUE(subs.ok());
+    const double full_mean = Mean(e.resource.values.Col(cpu)) + 1e-9;
+    for (size_t s = 0; s < subs->size(); ++s, ++next) {
+      ASSERT_LT(next, points->size());
+      const double factor =
+          (Mean((*subs)[s].resource.values.Col(cpu)) + 1e-9) / full_mean;
+      EXPECT_EQ((*points)[next].perf, e.perf.throughput_tps * factor);
+      EXPECT_EQ((*points)[next].sample_id, static_cast<int>(s));
+    }
+  }
+  EXPECT_EQ(next, points->size());
 }
 
 TEST_F(CoreTest, PipelineFitSelectsFeaturesAndModels) {

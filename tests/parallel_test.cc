@@ -15,6 +15,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
 #include "core/workbench.h"
 #include "featsel/wrapper.h"
 #include "ml/cross_validation.h"
@@ -400,6 +401,55 @@ TEST(DeterminismTest, GenerateCorpusBitIdenticalAcrossThreadCounts) {
                 0)
           << i;
       EXPECT_EQ(a.perf.latency_ms_by_type, b.perf.latency_ms_by_type) << i;
+    }
+  }
+}
+
+// Pipeline::Fit builds representations and fits each (workload, terminals)
+// key's scaling models on the pool, one slot per key. For every strategy
+// the fitted pipeline predicts the same bits, from the same reference, at
+// 1, 2 and 8 threads.
+TEST(DeterminismTest, PipelineFitBitIdenticalAcrossThreadCounts) {
+  WorkbenchConfig config;
+  config.workloads = {"TPC-C", "Twitter", "YCSB"};
+  config.skus = {MakeCpuSku(2), MakeCpuSku(4), MakeCpuSku(8)};
+  config.terminals = {4, 8};
+  config.runs = 2;
+  config.sim.duration_s = 10.0;
+  const auto corpus = GenerateCorpus(config);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const auto observed = RunOne("Twitter", MakeCpuSku(2), 8, /*run=*/5,
+                               config.sim, config.base_seed);
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  const int thread_counts[] = {1, 2, 8};
+  for (const char* strategy : {"SVM", "GB", "LMM", "Regression", "MARS"}) {
+    std::vector<Pipeline::Prediction> predictions;
+    for (const int threads : thread_counts) {
+      PipelineConfig pipeline_config;
+      pipeline_config.selector = "fANOVA";
+      pipeline_config.strategy = strategy;
+      pipeline_config.num_threads = threads;
+      Pipeline pipeline(pipeline_config);
+      ASSERT_TRUE(pipeline.Fit(*corpus).ok()) << strategy << " " << threads;
+      const auto prediction = pipeline.PredictThroughput(*observed, 8);
+      ASSERT_TRUE(prediction.ok())
+          << strategy << " " << threads << ": "
+          << prediction.status().ToString();
+      predictions.push_back(*prediction);
+    }
+    const Pipeline::Prediction& serial = predictions[0];
+    for (size_t i = 1; i < predictions.size(); ++i) {
+      const Pipeline::Prediction& parallel = predictions[i];
+      EXPECT_EQ(std::memcmp(&serial.throughput_tps, &parallel.throughput_tps,
+                            sizeof(double)),
+                0)
+          << strategy << " at " << thread_counts[i] << " threads";
+      EXPECT_EQ(std::memcmp(&serial.similarity_distance,
+                            &parallel.similarity_distance, sizeof(double)),
+                0)
+          << strategy << " at " << thread_counts[i] << " threads";
+      EXPECT_EQ(serial.reference_workload, parallel.reference_workload)
+          << strategy << " at " << thread_counts[i] << " threads";
     }
   }
 }

@@ -1,12 +1,14 @@
 #ifndef WPRED_TESTS_REFERENCE_KERNELS_H_
 #define WPRED_TESTS_REFERENCE_KERNELS_H_
 
-// Test-only oracles for the similarity kernels (DESIGN.md §15).
+// Test-only oracles for the similarity kernels (DESIGN.md §15) and the
+// logistic-regression fit behind RFE.
 //
 // src/ ships one implementation of each kernel: lane-split reductions in
-// common/simd.h, the anti-diagonal wavefront DTW in similarity/dtw.cc and
-// the van Herk envelope in similarity/query.cc. These are the textbook
-// loops those paths are proven against:
+// common/simd.h, the anti-diagonal wavefront DTW in similarity/dtw.cc, the
+// van Herk envelope in similarity/query.cc and the lanes-across-rows
+// LogisticRegression::Fit. These are the textbook loops those paths are
+// proven against:
 //
 //  - sequential reductions: one accumulator, index order. The lane-split
 //    kernels may differ from them in the last ulp, never by more;
@@ -19,6 +21,10 @@
 //    as the sketch bound's `kim` component and LB_Keogh as simd::
 //    EnvelopeGapSq over its EnvelopeSet; both match these to within
 //    reassociation.
+//  - the row-at-a-time logistic-regression fit: each (row, class) score is
+//    one serial chain over the features. The production fit runs those
+//    chains in lanes across rows with the same per-row order, so weights,
+//    bias and everything derived from them agree bitwise.
 //
 // Nothing here is tuned: each oracle is the plainest loop with the same
 // per-cell arithmetic, so a disagreement always implicates the production
@@ -34,6 +40,7 @@
 
 #include "common/status.h"
 #include "linalg/matrix.h"
+#include "linalg/stats.h"
 #include "similarity/dtw.h"
 #include "similarity/query.h"
 
@@ -320,6 +327,107 @@ inline Result<std::vector<Neighbor>> ExhaustiveTopK(
   });
   all.resize(std::min(k, all.size()));
   return all;
+}
+
+/// A fitted multinomial logistic regression: the scaler it standardised
+/// with, weights (num_classes x num_features) and per-class bias.
+struct LogisticRegressionModel {
+  StandardScaler scaler;
+  Matrix weights;
+  Vector bias;
+};
+
+/// LogisticRegression::Fit row by row: full-batch gradient descent with
+/// momentum on standardised inputs. Requires a valid problem (rows ≥ 1,
+/// labels ≥ 0, max label ≥ 1).
+inline LogisticRegressionModel LogisticRegressionFit(
+    const Matrix& x, const std::vector<int>& y, double l2 = 1e-3,
+    int max_iter = 300, double learning_rate = 0.5) {
+  LogisticRegressionModel model;
+  const int max_label = *std::max_element(y.begin(), y.end());
+  const Matrix xs = model.scaler.FitTransform(x);
+  const size_t n = xs.rows();
+  const size_t p = xs.cols();
+  const size_t k = static_cast<size_t>(max_label) + 1;
+
+  model.weights = Matrix(k, p);
+  model.bias.assign(k, 0.0);
+  Matrix& weights = model.weights;
+  Vector& bias = model.bias;
+  Matrix vel_w(k, p);
+  Vector vel_b(k, 0.0);
+  const double momentum = 0.9;
+
+  std::vector<double> probs(k);
+  Matrix grad_w(k, p);
+  Vector grad_b(k);
+  for (int iter = 0; iter < max_iter; ++iter) {
+    grad_w = Matrix(k, p);
+    grad_b.assign(k, 0.0);
+    for (size_t r = 0; r < n; ++r) {
+      double max_score = -1e300;
+      for (size_t c = 0; c < k; ++c) {
+        double score = bias[c];
+        for (size_t j = 0; j < p; ++j) score += weights(c, j) * xs(r, j);
+        probs[c] = score;
+        max_score = std::max(max_score, score);
+      }
+      double z = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        probs[c] = std::exp(probs[c] - max_score);
+        z += probs[c];
+      }
+      for (size_t c = 0; c < k; ++c) {
+        const double err =
+            probs[c] / z - (static_cast<int>(c) == y[r] ? 1.0 : 0.0);
+        grad_b[c] += err;
+        for (size_t j = 0; j < p; ++j) grad_w(c, j) += err * xs(r, j);
+      }
+    }
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t j = 0; j < p; ++j) {
+        const double g = grad_w(c, j) * inv_n + l2 * weights(c, j);
+        vel_w(c, j) = momentum * vel_w(c, j) - learning_rate * g;
+        weights(c, j) += vel_w(c, j);
+      }
+      vel_b[c] = momentum * vel_b[c] - learning_rate * grad_b[c] * inv_n;
+      bias[c] += vel_b[c];
+    }
+  }
+  return model;
+}
+
+/// Mean |weight| across classes, per feature.
+inline Vector LogisticRegressionImportances(
+    const LogisticRegressionModel& model) {
+  const Matrix& w = model.weights;
+  Vector importances(w.cols(), 0.0);
+  for (size_t j = 0; j < w.cols(); ++j) {
+    for (size_t c = 0; c < w.rows(); ++c) importances[j] += std::fabs(w(c, j));
+    importances[j] /= static_cast<double>(w.rows());
+  }
+  return importances;
+}
+
+/// Softmax class probabilities of one raw (unstandardised) row.
+inline Vector LogisticRegressionProba(const LogisticRegressionModel& model,
+                                      const Vector& row) {
+  const Vector z = model.scaler.TransformRow(row);
+  Vector scores(model.weights.rows());
+  for (size_t c = 0; c < scores.size(); ++c) {
+    double score = model.bias[c];
+    for (size_t j = 0; j < z.size(); ++j) score += model.weights(c, j) * z[j];
+    scores[c] = score;
+  }
+  const double max_score = *std::max_element(scores.begin(), scores.end());
+  double total = 0.0;
+  for (double& s : scores) {
+    s = std::exp(s - max_score);
+    total += s;
+  }
+  for (double& s : scores) s /= total;
+  return scores;
 }
 
 }  // namespace reference

@@ -655,10 +655,12 @@ TEST_F(ServeConcurrencyTest, ReadsSurviveFailedBackgroundRefit) {
   std::atomic<bool> stop{false};
   std::atomic<int64_t> violations{0};
   std::atomic<int64_t> reads{0};
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         const auto result = service.Predict(*observed_, 8);
         reads.fetch_add(1);
@@ -666,9 +668,16 @@ TEST_F(ServeConcurrencyTest, ReadsSurviveFailedBackgroundRefit) {
             result->throughput_tps != expected->throughput_tps) {
           violations.fetch_add(1);
         }
+        if (first) {
+          started.fetch_add(1);
+          first = false;
+        }
       }
     });
   }
+  // The failing refit ends within milliseconds: request it only once every
+  // reader has served a read, so the readers overlap it.
+  while (started.load() < kReaders) std::this_thread::yield();
   service.RequestRefit(*corpus_);
   service.WaitForRefits();
   stop.store(true, std::memory_order_release);
