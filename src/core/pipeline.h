@@ -38,10 +38,10 @@ struct PipelineConfig {
   /// hardware concurrency), 1 forces the serial path. Results are
   /// bit-identical at any setting.
   int num_threads = 0;
-  /// Traces per contiguous shard of the reference corpus inside the
-  /// similarity engine (scheduling/layout granularity for the parallel
-  /// similarity stages); 0 means ShardedCorpus::kDefaultShardTraces.
-  /// Never changes results — only how work is laid out and scheduled.
+  /// Traces per parallel task of the similarity engine's exact distance
+  /// scan (SimilarityQueryEngine::Distances, the similarity-ranking stage);
+  /// 0 means SimilarityQueryEngine::kDefaultShardTraces. Never changes
+  /// results — only how that scan is scheduled.
   size_t similarity_shard_traces = 0;
   /// Histogram width of the similarity engine's tier-0 sketch filter
   /// (similarity/sketch.h): 0 means TraceSketchSet::kDefaultBins, >= 2 is
@@ -163,9 +163,10 @@ class Pipeline {
     return reference_workloads_;
   }
 
-  /// Shards of the fitted similarity engine's reference corpus (0 before a
-  /// successful Fit(), or when the measure stage is disabled). The serving
-  /// layer exports this so operators can see the scheduling granularity a
+  /// Tasks of the fitted similarity engine's exact distance scan,
+  /// ⌈reference size / similarity_shard_traces⌉ (0 before a successful
+  /// Fit(), or when the measure stage is disabled). The serving layer
+  /// exports this so operators can see the scheduling granularity a
   /// snapshot serves with.
   size_t reference_shards() const {
     return query_engine_.has_value() ? query_engine_->num_shards() : 0;

@@ -137,6 +137,8 @@ void EncodeConfig(ByteWriter& w, const PipelineConfig& config) {
   w.PutU32(static_cast<uint32_t>(config.context));
   w.PutU64(config.subsamples);
   w.PutI64(config.num_threads);
+  w.PutU64(config.similarity_shard_traces);
+  w.PutI64(config.similarity_sketch_bins);
   w.PutU8(config.quality_gate ? 1 : 0);
   w.PutDouble(config.quality.mad_outlier_threshold);
   w.PutDouble(config.quality.stuck_run_fraction);
@@ -147,6 +149,7 @@ void EncodeConfig(ByteWriter& w, const PipelineConfig& config) {
   w.PutU64(config.quality.min_samples);
   w.PutU64(config.quality.max_dead_features);
   w.PutU8(config.enable_metrics ? 1 : 0);
+  w.PutU8(config.incremental_refit ? 1 : 0);
 }
 
 Result<PipelineConfig> DecodeConfig(ByteReader& r) {
@@ -172,6 +175,10 @@ Result<PipelineConfig> DecodeConfig(ByteReader& r) {
   config.subsamples = subsamples;
   WPRED_ASSIGN_OR_RETURN(int64_t num_threads, r.GetI64());
   config.num_threads = static_cast<int>(num_threads);
+  WPRED_ASSIGN_OR_RETURN(uint64_t shard_traces, r.GetU64());
+  config.similarity_shard_traces = shard_traces;
+  WPRED_ASSIGN_OR_RETURN(int64_t sketch_bins, r.GetI64());
+  config.similarity_sketch_bins = static_cast<int>(sketch_bins);
   WPRED_ASSIGN_OR_RETURN(uint8_t quality_gate, r.GetU8());
   config.quality_gate = quality_gate != 0;
   WPRED_ASSIGN_OR_RETURN(config.quality.mad_outlier_threshold, r.GetDouble());
@@ -189,6 +196,8 @@ Result<PipelineConfig> DecodeConfig(ByteReader& r) {
   config.quality.max_dead_features = max_dead;
   WPRED_ASSIGN_OR_RETURN(uint8_t metrics, r.GetU8());
   config.enable_metrics = metrics != 0;
+  WPRED_ASSIGN_OR_RETURN(uint8_t incremental_refit, r.GetU8());
+  config.incremental_refit = incremental_refit != 0;
   return config;
 }
 

@@ -33,7 +33,10 @@
 
 namespace wpred::serve {
 
-inline constexpr uint32_t kCheckpointVersion = 1;
+/// Version 2 added similarity_shard_traces, similarity_sketch_bins and
+/// incremental_refit to the config; a version-1 file is rejected like any
+/// other version mismatch.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// The deserialised fit closure of a checkpoint.
 struct CheckpointContents {
@@ -49,7 +52,7 @@ Status WriteCheckpoint(const std::string& path, const PipelineConfig& config,
 ///   - NotFound: no file at `path`;
 ///   - IoError: unreadable, truncated, checksum mismatch, or undecodable
 ///     payload (message says which);
-///   - FailedPrecondition: format version newer than this binary supports.
+///   - FailedPrecondition: format version other than kCheckpointVersion.
 Result<CheckpointContents> ReadCheckpoint(const std::string& path);
 
 namespace checkpoint_internal {

@@ -69,8 +69,8 @@ Result<DtwEarlyAbandon> IndependentDtwDistanceEarlyAbandon(const Matrix& a,
 // --- Column-major span kernels (DESIGN.md §15) ---
 //
 // The contiguous-span entry points behind the Matrix/Vector wrappers
-// above. The similarity engine calls these directly against the sharded
-// corpus's column-major mirror (ShardedCorpus::col_data), so the hot loop
+// above. The similarity engine calls these directly against its corpus's
+// column-major mirror (SimilarityQueryEngine::col_data), so the hot loop
 // never copies a column per (candidate, feature) pair. The band recurrence
 // runs as an anti-diagonal wavefront of elementwise common/simd passes and
 // stays bit-identical to the textbook row-order loop on every completed

@@ -117,60 +117,47 @@ void BuildEnvelopeColumns(const Matrix& series, int window, double* lower,
 
 }  // namespace query_internal
 
-Status EnvelopeSet::Build(const ShardedCorpus& corpus, int window,
+Status EnvelopeSet::Build(const std::vector<Matrix>& traces, int window,
                           int num_threads) {
-  blocks_.clear();
-  shard_traces_ = corpus.shard_traces();
+  lower_.clear();
+  upper_.clear();
+  offsets_.clear();
   window_ = window;
-  return BuildTail(corpus, 0, num_threads);
+  return BuildTail(traces, 0, num_threads);
 }
 
-Status EnvelopeSet::ExtendForAppend(const ShardedCorpus& corpus,
+Status EnvelopeSet::ExtendForAppend(const std::vector<Matrix>& traces,
                                     size_t old_size, int num_threads) {
-  WPRED_DCHECK_LE(old_size, corpus.size());
-  WPRED_DCHECK_EQ(shard_traces_, corpus.shard_traces());
-  const size_t new_count = corpus.size() - old_size;
+  WPRED_DCHECK_EQ(old_size, offsets_.size());
+  WPRED_DCHECK_LE(old_size, traces.size());
+  const size_t new_count = traces.size() - old_size;
   if (new_count == 0) return Status::OK();  // empty append: strict no-op
-  WPRED_RETURN_IF_ERROR(BuildTail(corpus, old_size, num_threads));
+  WPRED_RETURN_IF_ERROR(BuildTail(traces, old_size, num_threads));
   WPRED_COUNT_ADD("similarity.envelope.appended",
                   static_cast<uint64_t>(new_count));
   return Status::OK();
 }
 
-Status EnvelopeSet::BuildTail(const ShardedCorpus& corpus, size_t old_size,
-                              int num_threads) {
-  const size_t new_count = corpus.size() - old_size;
-  // Pre-size the tail blocks — extend the possibly part-filled last old
-  // shard and add new ones — so the parallel loop below only does
+Status EnvelopeSet::BuildTail(const std::vector<Matrix>& traces,
+                              size_t old_size, int num_threads) {
+  const size_t new_count = traces.size() - old_size;
+  // Grow the arrays at the tail first, so the parallel loop below only does
   // slot-indexed writes (determinism discipline of DESIGN.md §7). Existing
-  // offsets and envelope data are untouched: appends only grow each
-  // block's arrays at the tail.
-  blocks_.resize(corpus.num_shards());
-  for (size_t s = corpus.shard_of(old_size == 0 ? 0 : old_size - 1);
-       s < corpus.num_shards(); ++s) {
-    const CorpusShard shard = corpus.shard(s);
-    Block& block = blocks_[s];
-    const size_t old_local = block.offsets.size();
-    block.offsets.resize(shard.size());
-    size_t total = old_local == 0
-                       ? 0
-                       : block.offsets[old_local - 1] +
-                             corpus[shard.begin + old_local - 1].size();
-    for (size_t t = old_local; t < shard.size(); ++t) {
-      block.offsets[t] = total;
-      total += corpus[shard.begin + t].size();
-    }
-    block.lower.resize(total, 0.0);
-    block.upper.resize(total, 0.0);
+  // offsets and envelope data keep their values.
+  size_t total = lower_.size();
+  offsets_.resize(traces.size());
+  for (size_t i = old_size; i < traces.size(); ++i) {
+    offsets_[i] = total;
+    total += traces[i].size();
   }
+  lower_.resize(total, 0.0);
+  upper_.resize(total, 0.0);
   WPRED_RETURN_IF_ERROR(
       ParallelFor(new_count, num_threads, [&](size_t j) -> Status {
         const size_t i = old_size + j;
-        Block& block = blocks_[i / shard_traces_];
-        const size_t off = block.offsets[i % shard_traces_];
-        query_internal::BuildEnvelopeColumns(corpus[i], window_,
-                                             block.lower.data() + off,
-                                             block.upper.data() + off);
+        query_internal::BuildEnvelopeColumns(traces[i], window_,
+                                             lower_.data() + offsets_[i],
+                                             upper_.data() + offsets_[i]);
         return Status::OK();
       }));
   WPRED_COUNT_ADD("similarity.envelope.builds",
@@ -223,8 +210,11 @@ Result<SimilarityQueryEngine> SimilarityQueryEngine::Build(
   }
   engine.measure_ = measure;
   engine.window_ = window;
-  engine.corpus_ = ShardedCorpus(std::move(corpus), shard_traces);
+  engine.corpus_ = std::move(corpus);
+  engine.shard_traces_ =
+      shard_traces == 0 ? kDefaultShardTraces : shard_traces;
   if (engine.kind_ != MeasureKind::kGeneric) {
+    engine.MirrorColumnsFrom(0);
     WPRED_RETURN_IF_ERROR(
         engine.envelopes_.Build(engine.corpus_, window, num_threads));
     WPRED_RETURN_IF_ERROR(engine.sketches_.Build(
@@ -262,10 +252,12 @@ Status SimilarityQueryEngine::AppendTraces(std::vector<Matrix> traces,
                     traces[j].cols(), corpus_[0].cols()));
     }
   }
-  corpus_.Append(std::move(traces));
+  corpus_.insert(corpus_.end(), std::make_move_iterator(traces.begin()),
+                 std::make_move_iterator(traces.end()));
   WPRED_COUNT_ADD("similarity.corpus.appended_traces",
                   static_cast<uint64_t>(corpus_.size() - old_size));
   if (kind_ != MeasureKind::kGeneric) {
+    MirrorColumnsFrom(old_size);
     WPRED_RETURN_IF_ERROR(
         envelopes_.ExtendForAppend(corpus_, old_size, num_threads));
     WPRED_RETURN_IF_ERROR(
@@ -274,17 +266,23 @@ Status SimilarityQueryEngine::AppendTraces(std::vector<Matrix> traces,
   return Status::OK();
 }
 
-Result<double> SimilarityQueryEngine::ExactDistance(
-    const Matrix& query, const Matrix& candidate) const {
-  switch (kind_) {
-    case MeasureKind::kDependentDtw:
-      return DependentDtwDistance(query, candidate, window_);
-    case MeasureKind::kIndependentDtw:
-      return IndependentDtwDistance(query, candidate, window_);
-    case MeasureKind::kGeneric:
-      break;
+void SimilarityQueryEngine::MirrorColumnsFrom(size_t first) {
+  size_t total = cols_.size();
+  col_offsets_.resize(corpus_.size());
+  for (size_t i = first; i < corpus_.size(); ++i) {
+    col_offsets_[i] = total;
+    total += corpus_[i].size();
   }
-  return MeasureDistance(measure_, query, candidate);
+  cols_.resize(total);
+  for (size_t i = first; i < corpus_.size(); ++i) {
+    const Matrix& trace = corpus_[i];
+    double* out = cols_.data() + col_offsets_[i];
+    for (size_t f = 0; f < trace.cols(); ++f) {
+      for (size_t r = 0; r < trace.rows(); ++r) {
+        out[f * trace.rows() + r] = trace(r, f);
+      }
+    }
+  }
 }
 
 Result<Vector> SimilarityQueryEngine::Distances(const Matrix& query,
@@ -293,44 +291,38 @@ Result<Vector> SimilarityQueryEngine::Distances(const Matrix& query,
   if (!AllFinite(query)) {
     return Status::InvalidArgument("non-finite values in query");
   }
-  // Shard-granular parallel loop: one task per contiguous shard, each with
+  const bool dtw = kind_ != MeasureKind::kGeneric;
+  if (dtw && query.cols() != corpus_[0].cols()) {
+    return Status::InvalidArgument("feature count mismatch");
+  }
+  // One column-major query copy serves every DTW candidate; candidates come
+  // from the column-major mirror, so the DTW span kernels never copy a
+  // column.
+  const std::vector<double> query_cols =
+      dtw ? query.ColumnMajor() : std::vector<double>();
+  // One task per contiguous range of shard_traces_ traces, each with
   // slot-indexed writes into the global-index output, so results are in
   // corpus order and independent of schedule and thread count.
   Vector out(corpus_.size());
-  if (kind_ != MeasureKind::kGeneric) {
-    if (query.cols() != corpus_[0].cols()) {
-      return Status::InvalidArgument("feature count mismatch");
-    }
-    // One column-major query copy serves every candidate; candidates come
-    // from the corpus's shard-contiguous column-major mirror, so the DTW
-    // span kernels never copy a column.
-    const std::vector<double> query_cols = query.ColumnMajor();
-    WPRED_RETURN_IF_ERROR(ParallelFor(
-        corpus_.num_shards(), num_threads, [&](size_t s) -> Status {
-          const CorpusShard shard = corpus_.shard(s);
-          for (size_t i = shard.begin; i < shard.end; ++i) {
-            Result<DtwEarlyAbandon> r =
-                kind_ == MeasureKind::kDependentDtw
-                    ? DependentDtwColsEarlyAbandon(
-                          query_cols.data(), query.rows(),
-                          corpus_.col_data(i), corpus_[i].rows(),
-                          query.cols(), window_, kInf)
-                    : IndependentDtwColsEarlyAbandon(
-                          query_cols.data(), query.rows(),
-                          corpus_.col_data(i), corpus_[i].rows(),
-                          query.cols(), window_, kInf);
-            WPRED_ASSIGN_OR_RETURN(const DtwEarlyAbandon ea, std::move(r));
-            out[i] = ea.distance;
-          }
-          return Status::OK();
-        }));
-    return out;
-  }
   WPRED_RETURN_IF_ERROR(
-      ParallelFor(corpus_.num_shards(), num_threads, [&](size_t s) -> Status {
-        const CorpusShard shard = corpus_.shard(s);
-        for (size_t i = shard.begin; i < shard.end; ++i) {
-          WPRED_ASSIGN_OR_RETURN(out[i], ExactDistance(query, corpus_[i]));
+      ParallelFor(num_shards(), num_threads, [&](size_t s) -> Status {
+        const size_t end = std::min(corpus_.size(), (s + 1) * shard_traces_);
+        for (size_t i = s * shard_traces_; i < end; ++i) {
+          if (!dtw) {
+            WPRED_ASSIGN_OR_RETURN(
+                out[i], MeasureDistance(measure_, query, corpus_[i]));
+            continue;
+          }
+          Result<DtwEarlyAbandon> r =
+              kind_ == MeasureKind::kDependentDtw
+                  ? DependentDtwColsEarlyAbandon(
+                        query_cols.data(), query.rows(), col_data(i),
+                        corpus_[i].rows(), query.cols(), window_, kInf)
+                  : IndependentDtwColsEarlyAbandon(
+                        query_cols.data(), query.rows(), col_data(i),
+                        corpus_[i].rows(), query.cols(), window_, kInf);
+          WPRED_ASSIGN_OR_RETURN(const DtwEarlyAbandon ea, std::move(r));
+          out[i] = ea.distance;
         }
         return Status::OK();
       }));
@@ -469,7 +461,7 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
       // are column-major and contiguous, so each direction is one SIMD
       // envelope-gap reduction (per feature, for the independent measure).
       const size_t rows = candidate.rows();
-      const double* cand_cols = corpus_.col_data(idx);
+      const double* cand_cols = col_data(idx);
       double lb;
       if (kind_ == MeasureKind::kDependentDtw) {
         lb = std::max(
@@ -508,11 +500,11 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
     Result<DtwEarlyAbandon> outcome =
         kind_ == MeasureKind::kDependentDtw
             ? DependentDtwColsEarlyAbandon(query_cols.data(), query.rows(),
-                                           corpus_.col_data(idx),
+                                           col_data(idx),
                                            candidate.rows(), query.cols(),
                                            window_, abandon_cutoff)
             : IndependentDtwColsEarlyAbandon(query_cols.data(), query.rows(),
-                                             corpus_.col_data(idx),
+                                             col_data(idx),
                                              candidate.rows(), query.cols(),
                                              window_, abandon_cutoff);
     WPRED_ASSIGN_OR_RETURN(const DtwEarlyAbandon ea, std::move(outcome));

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "linalg/matrix.h"
-#include "similarity/sharded_corpus.h"
 #include "similarity/sketch.h"
 
 // Lower-bound-pruned similarity search (DESIGN.md §10, §15).
@@ -48,59 +47,48 @@ struct Neighbor {
   bool operator==(const Neighbor& other) const = default;
 };
 
-/// All LB_Keogh envelopes of one corpus for one window, stored as flat
-/// column-major blocks — one contiguous lower and one upper allocation per
-/// corpus shard, traces back to back, each trace laid out exactly like
-/// ShardedCorpus::col_data (column f at offset f·rows). A worker scanning
-/// shard s streams two allocations, and the SIMD LB_Keogh kernel
-/// (simd::EnvelopeGapSq) consumes query columns, envelope columns, and the
-/// corpus mirror at unit stride. Global corpus indices address it
-/// (`lower`/`upper`), so callers never see the shard seams. Built once per
-/// engine (parallel, slot-indexed writes — the same determinism discipline
-/// as PairwiseDistances); after that it changes only by appending entries
-/// for corpus traces appended at the tail — existing entries never move
-/// within their block.
+/// All LB_Keogh envelopes of one corpus for one window, stored as two flat
+/// column-major arrays (`lower`, `upper`) with a per-trace offset: trace i's
+/// envelope starts at offset[i], laid out exactly like
+/// SimilarityQueryEngine::col_data (column f at offset f·rows), so the SIMD
+/// LB_Keogh kernel (simd::EnvelopeGapSq) consumes query columns, envelope
+/// columns, and the corpus mirror at unit stride. Global corpus indices
+/// address it. Built once per engine (parallel, slot-indexed writes — the
+/// same determinism discipline as PairwiseDistances); after that it changes
+/// only by appending entries for corpus traces appended at the tail.
 class EnvelopeSet {
  public:
-  /// Envelopes of every corpus trace over the band `window` (<= 0 means
+  /// Envelopes of every trace over the band `window` (<= 0 means
   /// unbounded), parallel over traces, deterministic.
-  Status Build(const ShardedCorpus& corpus, int window, int num_threads);
+  Status Build(const std::vector<Matrix>& traces, int window,
+               int num_threads);
 
   /// Envelopes for the traces appended at indices [old_size,
-  /// corpus.size()), against the window given to Build. Each trace's
+  /// traces.size()), against the window given to Build. Each trace's
   /// envelope depends on that trace alone, so the extended set is
   /// bit-identical to a rebuild. Empty appends are a strict no-op.
   /// Single-writer; must not race reads.
-  Status ExtendForAppend(const ShardedCorpus& corpus, size_t old_size,
+  Status ExtendForAppend(const std::vector<Matrix>& traces, size_t old_size,
                          int num_threads);
 
   /// Column-major running min (lower) / max (upper) envelope of corpus
   /// trace `index` (global index, as in Neighbor): cols blocks of rows
   /// doubles, same shape as the trace.
   const double* lower(size_t index) const {
-    const Block& block = blocks_[index / shard_traces_];
-    return block.lower.data() + block.offsets[index % shard_traces_];
+    return lower_.data() + offsets_[index];
   }
   const double* upper(size_t index) const {
-    const Block& block = blocks_[index / shard_traces_];
-    return block.upper.data() + block.offsets[index % shard_traces_];
+    return upper_.data() + offsets_[index];
   }
 
-  size_t num_blocks() const { return blocks_.size(); }
-
  private:
-  struct Block {
-    std::vector<double> lower;
-    std::vector<double> upper;
-    std::vector<size_t> offsets;  // local trace t's start within the block
-  };
-
-  // Sizes the blocks for traces [old_size, corpus.size()) and fills them.
-  Status BuildTail(const ShardedCorpus& corpus, size_t old_size,
+  // Grows the arrays for traces [old_size, traces.size()) and fills them.
+  Status BuildTail(const std::vector<Matrix>& traces, size_t old_size,
                    int num_threads);
 
-  std::vector<Block> blocks_;
-  size_t shard_traces_ = 1;
+  std::vector<double> lower_;
+  std::vector<double> upper_;
+  std::vector<size_t> offsets_;  // trace i's start in lower_ and upper_
   int window_ = 0;
 };
 
@@ -116,21 +104,25 @@ class EnvelopeSet {
 /// must not race queries.
 class SimilarityQueryEngine {
  public:
+  /// Default `shard_traces`: the number of traces one Distances task scans.
+  static constexpr size_t kDefaultShardTraces = 64;
+
   /// Validates the corpus (nonempty, finite, consistent arity for the MTS
-  /// measures), classifies `measure` (any MeasureDistance name), shards the
-  /// corpus (`shard_traces` traces per contiguous shard; 0 means
-  /// ShardedCorpus::kDefaultShardTraces), and — for the DTW measures —
-  /// builds the per-shard LB_Keogh envelope blocks for `window` (<= 0
-  /// means unbounded) and the tier-0 sketches. `num_threads` follows
-  /// common/parallel semantics; neither it nor the shard width ever changes
-  /// results — sharding decides layout and scheduling granularity only.
+  /// measures), classifies `measure` (any MeasureDistance name), and — for
+  /// the DTW measures — builds the column-major corpus mirror, the LB_Keogh
+  /// envelopes for `window` (<= 0 means unbounded) and the tier-0
+  /// sketches. `shard_traces` is the task size of Distances: it scans the
+  /// corpus as ⌈n / shard_traces⌉ contiguous index ranges, one parallel
+  /// task each (0 means kDefaultShardTraces). `num_threads` follows
+  /// common/parallel semantics; neither it nor the width ever changes
+  /// results — they decide scheduling only.
   ///
   /// `sketch_bins` sizes the tier-0 sketch filter's per-feature histogram
   /// (similarity/sketch.h): 0 selects TraceSketchSet::kDefaultBins, >= 2 is
   /// honoured as-is, and anything else is InvalidArgument (a one-bin
   /// histogram can never separate anything). Generic measures never build
-  /// sketches. Like the shard width, the knob is pure pruning policy:
-  /// results are bit-identical for every legal value.
+  /// sketches. Like the width, the knob is pure pruning policy: results are
+  /// bit-identical for every legal value.
   static Result<SimilarityQueryEngine> Build(std::vector<Matrix> corpus,
                                              const std::string& measure,
                                              int window = 0,
@@ -140,11 +132,11 @@ class SimilarityQueryEngine {
 
   /// Grows the reference corpus at the tail: validates the new traces
   /// (nonempty, finite, same feature arity as the existing corpus), appends
-  /// them to the sharded corpus, and extends the envelopes and sketches —
-  /// computing them only for the new traces. Queries after an append
-  /// return results bit-identical to an engine Built from scratch over the
-  /// concatenated corpus (pinned by StreamAppendTest). Existing global
-  /// indices never change. Single-writer: must not race concurrent
+  /// them to the corpus, and extends the column mirror, envelopes and
+  /// sketches — computing them only for the new traces. Queries after an
+  /// append return results bit-identical to an engine Built from scratch
+  /// over the concatenated corpus (pinned by StreamAppendTest). Existing
+  /// global indices never change. Single-writer: must not race concurrent
   /// queries on the same engine — the streaming layer owns its engine
   /// exclusively, and serving reads only ever see engines frozen inside
   /// immutable snapshots.
@@ -158,14 +150,24 @@ class SimilarityQueryEngine {
                                               size_t k) const;
 
   /// Exact distances from `query` to every corpus entry, in corpus order
-  /// (parallel over corpus shards with slot-indexed writes, deterministic).
-  /// The pipeline's similarity-ranking stage uses this for its per-workload
-  /// means.
+  /// (parallel over num_shards() contiguous index ranges with slot-indexed
+  /// writes, deterministic). The pipeline's similarity-ranking stage uses
+  /// this for its per-workload means.
   Result<Vector> Distances(const Matrix& query, int num_threads = 0) const;
 
-  const std::vector<Matrix>& corpus() const { return corpus_.traces(); }
-  const ShardedCorpus& sharded_corpus() const { return corpus_; }
-  size_t num_shards() const { return corpus_.num_shards(); }
+  const std::vector<Matrix>& corpus() const { return corpus_; }
+  /// ⌈corpus size / shard_traces⌉: the number of Distances tasks.
+  size_t num_shards() const {
+    return (corpus_.size() + shard_traces_ - 1) / shard_traces_;
+  }
+  /// Column-major mirror of corpus trace `index` (DTW measures only): cols
+  /// blocks of rows contiguous doubles, column f at offset f·rows. The SIMD
+  /// Keogh and DTW kernels stream per-feature columns of many candidates,
+  /// which the row-major Matrix would give only by a strided walk or a
+  /// copy. A bitwise copy, so both layouts always hold identical values.
+  const double* col_data(size_t index) const {
+    return cols_.data() + col_offsets_[index];
+  }
   const std::string& measure() const { return measure_; }
   int window() const { return window_; }
   /// Effective sketch histogram width; 0 for the generic measures, which
@@ -177,13 +179,18 @@ class SimilarityQueryEngine {
 
   SimilarityQueryEngine() = default;
 
-  Result<double> ExactDistance(const Matrix& query,
-                               const Matrix& candidate) const;
+  // Appends the column-major copies of traces [first, corpus size) to the
+  // mirror.
+  void MirrorColumnsFrom(size_t first);
 
-  ShardedCorpus corpus_;
+  std::vector<Matrix> corpus_;
+  size_t shard_traces_ = kDefaultShardTraces;
   std::string measure_;
   int window_ = 0;
   MeasureKind kind_ = MeasureKind::kGeneric;
+  // DTW measures only: the column-major mirror, trace i at col_offsets_[i].
+  std::vector<double> cols_;
+  std::vector<size_t> col_offsets_;
   EnvelopeSet envelopes_;    // DTW measures only
   TraceSketchSet sketches_;  // DTW measures only
 };
@@ -193,7 +200,7 @@ namespace query_internal {
 /// Envelope of `series` over the band (window <= 0 means unbounded) into
 /// caller-owned column-major storage: writes series.size() doubles each at
 /// `lower`/`upper`, column f at offset f·rows — the layout EnvelopeSet and
-/// ShardedCorpus::col_data share — with upper / lower = max / min of
+/// SimilarityQueryEngine::col_data share — with upper / lower = max / min of
 /// column f over rows [i-b, i+b]. A branch-light van Herk / Gil-Werman
 /// block prefix/suffix max that autovectorizes; it computes the exact
 /// windowed min/max (no arithmetic, only comparisons), so it equals the

@@ -168,93 +168,51 @@ void BuildSketchRecord(const Matrix& series, const Vector& lo,
 
 }  // namespace sketch_internal
 
-Status TraceSketchSet::Build(const ShardedCorpus& corpus, int bins,
+Status TraceSketchSet::Build(const std::vector<Matrix>& traces, int bins,
                              int num_threads) {
-  if (corpus.empty()) {
+  if (traces.empty()) {
     return Status::InvalidArgument("cannot sketch an empty corpus");
   }
   if (bins < 2) {
     return Status::InvalidArgument(
         StrFormat("sketch bins must be >= 2; got %d", bins));
   }
-  const size_t d = corpus[0].cols();
+  const size_t d = traces[0].cols();
   layout_ = SketchLayout{d, bins, kSegments};
-  shard_traces_ = corpus.shard_traces();
-  // Frozen frame: per-feature min/max over the whole corpus. Min/max
-  // reductions are exact, so the per-shard parallel pass is deterministic
-  // and order-independent.
-  const size_t shards = corpus.num_shards();
-  std::vector<Vector> shard_lo(shards, Vector(d, kInf));
-  std::vector<Vector> shard_hi(shards, Vector(d, -kInf));
-  WPRED_RETURN_IF_ERROR(
-      ParallelFor(shards, num_threads, [&](size_t s) -> Status {
-        const CorpusShard shard = corpus.shard(s);
-        Vector& s_lo = shard_lo[s];
-        Vector& s_hi = shard_hi[s];
-        for (size_t i = shard.begin; i < shard.end; ++i) {
-          const Matrix& trace = corpus[i];
-          for (size_t r = 0; r < trace.rows(); ++r) {
-            for (size_t f = 0; f < d; ++f) {
-              const double v = trace(r, f);
-              s_lo[f] = std::min(s_lo[f], v);
-              s_hi[f] = std::max(s_hi[f], v);
-            }
-          }
-        }
-        return Status::OK();
-      }));
+  // Frozen frame: per-feature min/max over the whole corpus.
   lo_.assign(d, kInf);
   hi_.assign(d, -kInf);
-  for (size_t s = 0; s < shards; ++s) {
-    for (size_t f = 0; f < d; ++f) {
-      lo_[f] = std::min(lo_[f], shard_lo[s][f]);
-      hi_[f] = std::max(hi_[f], shard_hi[s][f]);
+  for (const Matrix& trace : traces) {
+    for (size_t r = 0; r < trace.rows(); ++r) {
+      for (size_t f = 0; f < d; ++f) {
+        lo_[f] = std::min(lo_[f], trace(r, f));
+        hi_[f] = std::max(hi_[f], trace(r, f));
+      }
     }
   }
-  blocks_.assign(shards, {});
-  const size_t stride = layout_.stride();
-  WPRED_RETURN_IF_ERROR(
-      ParallelFor(shards, num_threads, [&](size_t s) -> Status {
-        const CorpusShard shard = corpus.shard(s);
-        std::vector<double>& block = blocks_[s];
-        block.resize(shard.size() * stride);
-        for (size_t i = shard.begin; i < shard.end; ++i) {
-          sketch_internal::BuildSketchRecord(
-              corpus[i], lo_, hi_, layout_,
-              block.data() + (i - shard.begin) * stride);
-        }
-        return Status::OK();
-      }));
-  WPRED_COUNT_ADD("similarity.sketch.built",
-                  static_cast<uint64_t>(corpus.size()));
-  return Status::OK();
+  records_.clear();
+  return ExtendForAppend(traces, 0, num_threads);
 }
 
-Status TraceSketchSet::ExtendForAppend(const ShardedCorpus& corpus,
+Status TraceSketchSet::ExtendForAppend(const std::vector<Matrix>& traces,
                                        size_t old_size, int num_threads) {
   WPRED_DCHECK(built());
-  WPRED_DCHECK_LE(old_size, corpus.size());
-  WPRED_DCHECK_EQ(shard_traces_, corpus.shard_traces());
-  const size_t new_count = corpus.size() - old_size;
+  WPRED_DCHECK_EQ(old_size * layout_.stride(), records_.size());
+  WPRED_DCHECK_LE(old_size, traces.size());
+  const size_t new_count = traces.size() - old_size;
   if (new_count == 0) return Status::OK();  // empty append: strict no-op
-  const size_t stride = layout_.stride();
-  // Pre-size the affected tail blocks so the parallel loop below only does
-  // slot-indexed writes (determinism discipline of DESIGN.md §7). The
+  // Grow the records at the tail first, so the parallel loop below only
+  // does slot-indexed writes (determinism discipline of DESIGN.md §7). The
   // frame stays FROZEN: appended traces sketch against the original value
   // frame, so pruning decisions may differ from a rebuild — results never
   // do (the bound is admissible either way).
-  blocks_.resize(corpus.num_shards());
-  for (size_t s = corpus.shard_of(old_size == 0 ? 0 : old_size - 1);
-       s < corpus.num_shards(); ++s) {
-    blocks_[s].resize(corpus.shard(s).size() * stride);
-  }
+  const size_t stride = layout_.stride();
+  records_.resize(traces.size() * stride);
   WPRED_RETURN_IF_ERROR(
       ParallelFor(new_count, num_threads, [&](size_t j) -> Status {
         const size_t i = old_size + j;
-        sketch_internal::BuildSketchRecord(
-            corpus[i], lo_, hi_, layout_,
-            blocks_[i / shard_traces_].data() +
-                (i % shard_traces_) * stride);
+        sketch_internal::BuildSketchRecord(traces[i], lo_, hi_, layout_,
+                                           records_.data() + i * stride);
         return Status::OK();
       }));
   WPRED_COUNT_ADD("similarity.sketch.built",

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "linalg/matrix.h"
-#include "similarity/sharded_corpus.h"
 
 // Tier-0 similarity sketches (DESIGN.md §15).
 //
@@ -92,10 +91,10 @@ struct SketchBound {
   double kim = 0.0;       // the LB_Kim component alone (prune attribution)
 };
 
-/// Sketches of one corpus, stored as one contiguous record block per corpus
-/// shard (global corpus indices address it, like EnvelopeSet). Built once
-/// per engine; extended in place on append (single-writer, same contract as
-/// EnvelopeSet::ExtendForAppend).
+/// Sketches of one corpus, stored as one flat array of fixed-stride records
+/// in corpus order (global corpus indices address it, like EnvelopeSet).
+/// Built once per engine; grown at the tail on append (single-writer, same
+/// contract as EnvelopeSet::ExtendForAppend).
 class TraceSketchSet {
  public:
   /// Default histogram bins per feature; segments is fixed. Eight of each
@@ -111,20 +110,19 @@ class TraceSketchSet {
   const SketchLayout& layout() const { return layout_; }
   int bins() const { return layout_.bins; }
 
-  /// Freezes the per-feature value frame from `corpus` and sketches every
-  /// trace (parallel over shards, slot-indexed, deterministic).
+  /// Freezes the per-feature value frame from `traces` and sketches every
+  /// trace (parallel over traces, slot-indexed, deterministic).
   /// `bins` must be >= 2.
-  Status Build(const ShardedCorpus& corpus, int bins, int num_threads);
+  Status Build(const std::vector<Matrix>& traces, int bins, int num_threads);
 
-  /// Sketches traces [old_size, corpus.size()) against the FROZEN frame.
+  /// Sketches traces [old_size, traces.size()) against the FROZEN frame.
   /// Empty appends are a strict no-op. Single-writer; must not race reads.
-  Status ExtendForAppend(const ShardedCorpus& corpus, size_t old_size,
+  Status ExtendForAppend(const std::vector<Matrix>& traces, size_t old_size,
                          int num_threads);
 
   /// Record of corpus trace `index` (global index).
   const double* At(size_t index) const {
-    return blocks_[index / shard_traces_].data() +
-           (index % shard_traces_) * layout_.stride();
+    return records_.data() + index * layout_.stride();
   }
 
   /// Builds a query-side record against the frozen frame.
@@ -132,13 +130,11 @@ class TraceSketchSet {
 
   const Vector& frame_lo() const { return lo_; }
   const Vector& frame_hi() const { return hi_; }
-  size_t num_blocks() const { return blocks_.size(); }
 
  private:
   SketchLayout layout_;
   Vector lo_, hi_;  // frozen per-feature frame (size = features)
-  size_t shard_traces_ = 1;
-  std::vector<std::vector<double>> blocks_;
+  std::vector<double> records_;  // trace i's record at i · stride
 };
 
 /// Tier-0 bound for dependent DTW (one alignment over all features; cell

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workbench.h"
+#include "obs/metrics.h"
 #include "serve/checkpoint.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -369,13 +371,63 @@ TEST_F(ServeTest, BlownDeadlineIsReportedOnCompletion) {
 
 TEST_F(ServeTest, CheckpointRoundTripsTheFitClosure) {
   const std::string path = TempPath("roundtrip.ckpt");
-  const PipelineConfig config = FastPipeline();
+  // Every PipelineConfig field away from its default, so a field the codec
+  // drops reads back as the default and fails below.
+  PipelineConfig config = FastPipeline();
+  config.top_k = 5;
+  config.representation = Representation::kPhaseFp;
+  config.measure = "Dependent-DTW";
+  config.strategy = "GB";
+  config.context = ModelContext::kSingle;
+  config.subsamples = 4;
+  config.num_threads = 3;
+  config.similarity_shard_traces = 5;
+  config.similarity_sketch_bins = 16;
+  config.quality_gate = false;
+  config.quality.mad_outlier_threshold = 6.5;
+  config.quality.stuck_run_fraction = 0.25;
+  config.quality.max_bad_fraction = 0.75;
+  config.quality.interpolate_gaps = false;
+  config.quality.winsorize_outliers = true;
+  config.quality.drop_dead_features = false;
+  config.quality.min_samples = 12;
+  config.quality.max_dead_features = 1;
+  config.enable_metrics = true;
+  config.incremental_refit = true;
   ASSERT_TRUE(WriteCheckpoint(path, config, *corpus_).ok());
   const auto contents = ReadCheckpoint(path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
-  EXPECT_EQ(contents->config.selector, config.selector);
-  EXPECT_EQ(contents->config.top_k, config.top_k);
-  EXPECT_EQ(contents->config.measure, config.measure);
+  const PipelineConfig& restored_config = contents->config;
+  EXPECT_EQ(restored_config.selector, config.selector);
+  EXPECT_EQ(restored_config.top_k, config.top_k);
+  EXPECT_EQ(restored_config.representation, config.representation);
+  EXPECT_EQ(restored_config.measure, config.measure);
+  EXPECT_EQ(restored_config.strategy, config.strategy);
+  EXPECT_EQ(restored_config.context, config.context);
+  EXPECT_EQ(restored_config.subsamples, config.subsamples);
+  EXPECT_EQ(restored_config.num_threads, config.num_threads);
+  EXPECT_EQ(restored_config.similarity_shard_traces,
+            config.similarity_shard_traces);
+  EXPECT_EQ(restored_config.similarity_sketch_bins,
+            config.similarity_sketch_bins);
+  EXPECT_EQ(restored_config.quality_gate, config.quality_gate);
+  EXPECT_EQ(restored_config.quality.mad_outlier_threshold,
+            config.quality.mad_outlier_threshold);
+  EXPECT_EQ(restored_config.quality.stuck_run_fraction,
+            config.quality.stuck_run_fraction);
+  EXPECT_EQ(restored_config.quality.max_bad_fraction,
+            config.quality.max_bad_fraction);
+  EXPECT_EQ(restored_config.quality.interpolate_gaps,
+            config.quality.interpolate_gaps);
+  EXPECT_EQ(restored_config.quality.winsorize_outliers,
+            config.quality.winsorize_outliers);
+  EXPECT_EQ(restored_config.quality.drop_dead_features,
+            config.quality.drop_dead_features);
+  EXPECT_EQ(restored_config.quality.min_samples, config.quality.min_samples);
+  EXPECT_EQ(restored_config.quality.max_dead_features,
+            config.quality.max_dead_features);
+  EXPECT_EQ(restored_config.enable_metrics, config.enable_metrics);
+  EXPECT_EQ(restored_config.incremental_refit, config.incremental_refit);
   ASSERT_EQ(contents->corpus.size(), corpus_->size());
   for (size_t i = 0; i < corpus_->size(); ++i) {
     const Experiment& original = (*corpus_)[i];
@@ -419,6 +471,36 @@ TEST_F(ServeTest, RestoredServiceServesBitIdenticalPredictions) {
     EXPECT_EQ(prediction->similarity_distance, original.similarity_distance);
     EXPECT_EQ(prediction->reference_workload, original.reference_workload);
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(ServeTest, RestoredSnapshotPublishesTheCheckpointedShardWidth) {
+  // The restore fits from the checkpointed config, not the service's, so
+  // the published shard count shows whether the width survived the file.
+  const std::string path = TempPath("shard_width.ckpt");
+  std::remove(path.c_str());
+  ServiceConfig config = FastService();
+  config.checkpoint_path = path;
+  config.pipeline.similarity_shard_traces = 3;
+  obs::SetMetricsEnabled(true);
+  obs::Gauge& shards = obs::MetricsRegistry::Global().GetGauge(
+      "serve.snapshot.reference_shards");
+  {
+    PredictionService service(config);
+    ASSERT_TRUE(service.Start(*corpus_).ok());  // cold fit + checkpoint
+  }
+  const double cold_shards = shards.value();
+  EXPECT_EQ(cold_shards, 3.0);  // ⌈8 experiments / 3⌉
+  shards.Set(0.0);
+  {
+    ServiceConfig restore = FastService();  // the default width
+    restore.checkpoint_path = path;
+    PredictionService service(restore);
+    ASSERT_TRUE(service.StartFromCheckpoint().ok());
+  }
+  EXPECT_EQ(shards.value(), cold_shards);
+  obs::SetMetricsEnabled(false);
+  obs::MetricsRegistry::Global().ResetAll();
   std::remove(path.c_str());
 }
 
@@ -482,22 +564,25 @@ TEST_F(ServeTest, BitFlippedCheckpointFailsTheChecksum) {
 }
 
 TEST_F(ServeTest, NewerFormatVersionIsRejectedNotMisread) {
+  // Version 1, which lacked three config fields, is refused the same way.
   const std::string path = TempPath("version.ckpt");
-  ASSERT_TRUE(WriteCheckpoint(path, FastPipeline(), *corpus_).ok());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+  for (const uint32_t version : {kCheckpointVersion + 1, 1u}) {
+    ASSERT_TRUE(WriteCheckpoint(path, FastPipeline(), *corpus_).ok());
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    bytes[8] = static_cast<char>(version);  // u32 LE version
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto contents = ReadCheckpoint(path);
+    ASSERT_FALSE(contents.ok()) << "version " << version;
+    EXPECT_EQ(contents.status().code(), StatusCode::kFailedPrecondition);
   }
-  bytes[8] = static_cast<char>(kCheckpointVersion + 1);  // u32 LE version
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const auto contents = ReadCheckpoint(path);
-  ASSERT_FALSE(contents.ok());
-  EXPECT_EQ(contents.status().code(), StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 

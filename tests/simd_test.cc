@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,8 +199,8 @@ TEST(SimdTest, TopKBitIdenticalAcrossModes) {
 }
 
 TEST(SimdTest, ColumnMajorMirrorsMatchMatrix) {
-  // Matrix::ColumnMajor and the corpus/envelope column blocks are bitwise
-  // copies of the row-major data.
+  // Matrix::ColumnMajor and the engine's column-major corpus mirror are
+  // bitwise copies of the row-major data.
   Rng rng(51);
   const Matrix m = RandomSeries(rng, 9, 4);
   const std::vector<double> cols = m.ColumnMajor();
@@ -209,13 +210,24 @@ TEST(SimdTest, ColumnMajorMirrorsMatchMatrix) {
       EXPECT_EQ(cols[f * m.rows() + r], m(r, f));
     }
   }
-  const ShardedCorpus corpus(RandomCorpus(52, 11, 7, 3), /*shard_traces=*/4);
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    const double* data = corpus.col_data(i);
-    for (size_t f = 0; f < corpus[i].cols(); ++f) {
-      for (size_t r = 0; r < corpus[i].rows(); ++r) {
-        EXPECT_EQ(data[f * corpus[i].rows() + r], corpus[i](r, f))
-            << "trace " << i;
+  // One engine built whole, one grown a trace at a time: appends that
+  // reallocate the mirror must leave every offset pointing at its trace.
+  const std::vector<Matrix> corpus = RandomCorpus(52, 11, 7, 3);
+  const auto built = SimilarityQueryEngine::Build(corpus, "Dependent-DTW");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto grown = SimilarityQueryEngine::Build({corpus[0]}, "Dependent-DTW");
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  for (size_t i = 1; i < corpus.size(); ++i) {
+    ASSERT_TRUE(grown->AppendTraces({corpus[i]}).ok());
+  }
+  for (const auto* engine : {&*built, &std::as_const(*grown)}) {
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const double* data = engine->col_data(i);
+      for (size_t f = 0; f < corpus[i].cols(); ++f) {
+        for (size_t r = 0; r < corpus[i].rows(); ++r) {
+          EXPECT_EQ(data[f * corpus[i].rows() + r], corpus[i](r, f))
+              << "trace " << i;
+        }
       }
     }
   }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -172,7 +173,7 @@ TEST(EnvelopeTest, ContainsSeriesAndRespectsWindow) {
   // windowed min/max.
   Rng rng(41);
   const Matrix series = RandomSeries(rng, 20, 3);
-  const ShardedCorpus corpus(std::vector<Matrix>{series});
+  const std::vector<Matrix> corpus{series};
   const size_t rows = series.rows();
   for (const int window : {0, 1, 5}) {
     EnvelopeSet envelopes;
@@ -208,7 +209,7 @@ TEST(LowerBoundTest, KimAndKeoghBoundTrueDistance) {
     Rng rng(seed);
     const Matrix a = RandomSeries(rng, 10, 2);
     const Matrix b = RandomSeries(rng, 10, 2);
-    const ShardedCorpus corpus(std::vector<Matrix>{b});
+    const std::vector<Matrix> corpus{b};
     TraceSketchSet sketches;
     ASSERT_TRUE(sketches.Build(corpus, /*bins=*/8, /*num_threads=*/1).ok());
     const std::vector<double> a_sketch = sketches.SketchSeries(a);
@@ -421,49 +422,79 @@ TEST(SimilarityQueryTest, CorpusConvenienceOverloadRanksExperiments) {
   }
 }
 
-// --- Sharded corpus: layout arithmetic, determinism, concurrent reads. ---
+// --- Sharded corpus: task arithmetic, determinism, concurrent reads. ---
+//
+// The reference corpus is sharded only in how Distances schedules it: as
+// ⌈n / shard_traces⌉ contiguous index ranges, one parallel task each. The
+// traces themselves stay in one flat layout at their global indices.
 
 TEST(ShardedCorpusTest, ShardMapCoversCorpusExactly) {
+  // num_shards() is ⌈n / width⌉, and the Distances tasks it counts cover
+  // every trace exactly once: each distance equals the one computed by a
+  // single whole-corpus task.
+  Rng rng(41);
+  const Matrix query = RandomSeries(rng, 4, 2);
   for (const auto& [n, width] : std::vector<std::pair<size_t, size_t>>{
-           {0, 4}, {1, 4}, {4, 4}, {5, 4}, {12, 4}, {13, 5}, {100, 64}}) {
-    ShardedCorpus corpus(RandomCorpus(/*seed=*/n + 7 * width + 1, n, 4, 2),
-                         width);
-    ASSERT_EQ(corpus.size(), n);
-    EXPECT_EQ(corpus.shard_traces(), width);
-    const size_t expected_shards = n == 0 ? 0 : (n + width - 1) / width;
-    ASSERT_EQ(corpus.num_shards(), expected_shards);
-    size_t covered = 0;
-    for (size_t s = 0; s < corpus.num_shards(); ++s) {
-      const CorpusShard shard = corpus.shard(s);
-      EXPECT_EQ(shard.begin, covered) << "shard " << s;  // contiguous
-      EXPECT_GT(shard.size(), 0u);
-      EXPECT_LE(shard.size(), width);
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        EXPECT_EQ(corpus.shard_of(i), s) << "index " << i;
+           {1, 4}, {4, 4}, {5, 4}, {12, 4}, {13, 5}, {100, 64}, {3, 1}}) {
+    const std::vector<Matrix> traces =
+        RandomCorpus(/*seed=*/n + 7 * width + 1, n, 4, 2);
+    for (const char* measure : {"L2,1-Norm", "Dependent-DTW"}) {
+      const Result<SimilarityQueryEngine> engine = SimilarityQueryEngine::Build(
+          traces, measure, /*window=*/0, /*num_threads=*/1, width);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      EXPECT_EQ(engine->num_shards(), (n + width - 1) / width)
+          << measure << " n=" << n << " width=" << width;
+      const Result<SimilarityQueryEngine> whole = SimilarityQueryEngine::Build(
+          traces, measure, /*window=*/0, /*num_threads=*/1,
+          /*shard_traces=*/n);
+      ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+      ASSERT_EQ(whole->num_shards(), 1u);
+      const Result<Vector> got = engine->Distances(query, /*num_threads=*/2);
+      const Result<Vector> want = whole->Distances(query, /*num_threads=*/1);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_EQ(got->size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ((*got)[i], (*want)[i])
+            << measure << " n=" << n << " width=" << width << " index " << i;
       }
-      covered = shard.end;
     }
-    EXPECT_EQ(covered, n);
   }
 }
 
 TEST(ShardedCorpusTest, DefaultAndClampedWidths) {
-  ShardedCorpus by_default(RandomCorpus(3, 5, 4, 2));
-  EXPECT_EQ(by_default.shard_traces(), ShardedCorpus::kDefaultShardTraces);
-  ShardedCorpus zero(RandomCorpus(3, 5, 4, 2), 0);
-  EXPECT_EQ(zero.shard_traces(), ShardedCorpus::kDefaultShardTraces);
-  // Global indices are untouched by sharding.
-  const std::vector<Matrix> traces = RandomCorpus(4, 6, 4, 2);
-  ShardedCorpus sharded(traces, 2);
-  for (size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(sharded[i].data(), traces[i].data()) << "index " << i;
+  // Width 0, or no width at all, means kDefaultShardTraces (64); a width at
+  // or above the corpus size is one task. The engine's corpus keeps every
+  // trace at its global index, whatever the width.
+  EXPECT_EQ(SimilarityQueryEngine::kDefaultShardTraces, 64u);
+  using Case = std::tuple<size_t, size_t, size_t>;  // n, width, shards
+  for (const auto& [n, width, shards] : std::vector<Case>{
+           {5, 64, 1}, {5, 1000, 1}, {64, 0, 1}, {65, 0, 2}, {129, 0, 3}}) {
+    const std::vector<Matrix> traces =
+        RandomCorpus(/*seed=*/n + 7 * width + 1, n, 4, 2);
+    for (const char* measure : {"L2,1-Norm", "Dependent-DTW"}) {
+      const Result<SimilarityQueryEngine> engine = SimilarityQueryEngine::Build(
+          traces, measure, /*window=*/0, /*num_threads=*/1, width);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      EXPECT_EQ(engine->num_shards(), shards)
+          << measure << " n=" << n << " width=" << width;
+      ASSERT_EQ(engine->corpus().size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(engine->corpus()[i], traces[i]) << measure << " index " << i;
+      }
+    }
   }
+  const std::vector<Matrix> traces = RandomCorpus(3, 65, 4, 2);
+  const Result<SimilarityQueryEngine> by_default =
+      SimilarityQueryEngine::Build(traces, "L2,1-Norm");
+  ASSERT_TRUE(by_default.ok()) << by_default.status().ToString();
+  EXPECT_EQ(by_default->num_shards(), 2u);
 }
 
 TEST(SimilarityQueryTest, ShardWidthNeverChangesResults) {
-  // The sharding contract: shard_traces decides layout and scheduling
-  // granularity only. Rankings and distances must be bit-identical across
-  // widths spanning one-trace-per-shard to whole-corpus-in-one-shard.
+  // The width contract: shard_traces decides the Distances task size only.
+  // Rankings and distances must be bit-identical across widths spanning
+  // one trace per task to the whole corpus in one task.
   const std::vector<Matrix> corpus = RandomCorpus(111, 13, 10, 2);
   Rng rng(112);
   const Matrix query = RandomSeries(rng, 10, 2);
@@ -482,7 +513,7 @@ TEST(SimilarityQueryTest, ShardWidthNeverChangesResults) {
             SimilarityQueryEngine::Build(corpus, measure, /*window=*/3,
                                          threads, width);
         ASSERT_TRUE(engine.ok());
-        EXPECT_EQ(engine->sharded_corpus().shard_traces(), width);
+        EXPECT_EQ(engine->num_shards(), (corpus.size() + width - 1) / width);
         const Result<std::vector<Neighbor>> ranked =
             engine->RankNeighbors(query, 5);
         ASSERT_TRUE(ranked.ok());
@@ -582,17 +613,16 @@ TEST(SimilarityQueryTest, ConcurrentReadsMatchExhaustive) {
 }
 
 TEST(EnvelopeSetTest, MatchesPerTraceBuild) {
-  // The per-shard block layout must address exactly the same envelope a
-  // flat per-trace build would produce for each global index.
-  const ShardedCorpus corpus(RandomCorpus(141, 11, 6, 2), /*shard_traces=*/4);
+  // The flat arrays must address exactly the same envelope a per-trace
+  // build would produce for each global index.
+  const std::vector<Matrix> corpus = RandomCorpus(141, 11, 6, 2);
   EnvelopeSet set;
   ASSERT_TRUE(set.Build(corpus, /*window=*/2, /*num_threads=*/4).ok());
-  ASSERT_EQ(set.num_blocks(), corpus.num_shards());
   for (size_t i = 0; i < corpus.size(); ++i) {
     const reference::SeriesEnvelope expected =
         reference::BuildEnvelope(corpus[i], /*window=*/2);
-    // The flat blocks are column-major (column f at offset f·rows), matching
-    // ShardedCorpus::col_data.
+    // The flat arrays are column-major (column f at offset f·rows), matching
+    // SimilarityQueryEngine::col_data.
     const double* lower = set.lower(i);
     const double* upper = set.upper(i);
     const size_t rows = corpus[i].rows();

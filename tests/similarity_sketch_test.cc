@@ -66,7 +66,7 @@ TEST(SimilaritySketchTest, BoundIsAdmissibleProperty) {
     const size_t rows = 4 + seed % 9;
     const size_t cols = 1 + seed % 3;
     const std::vector<Matrix> traces = RandomCorpus(seed, 10, rows, cols);
-    const ShardedCorpus corpus(traces, /*shard_traces=*/3);
+    const std::vector<Matrix>& corpus = traces;
     TraceSketchSet sketches;
     ASSERT_TRUE(sketches.Build(corpus, /*bins=*/8, /*num_threads=*/2).ok());
     // Unequal query lengths exercise the band widening inside the bound.
@@ -112,7 +112,7 @@ TEST(SimilaritySketchTest, LbKimAdmissibleOnDegenerateLengths) {
     shapes.push_back(RandomSeries(rng, r, 3));
     shapes.push_back(RandomSeries(rng, r, 3));
   }
-  const ShardedCorpus corpus(shapes);
+  const std::vector<Matrix>& corpus = shapes;
   TraceSketchSet sketches;
   ASSERT_TRUE(sketches.Build(corpus, /*bins=*/4, /*num_threads=*/1).ok());
   for (const Matrix& query : shapes) {
@@ -233,39 +233,42 @@ TEST(SimilaritySketchTest, AppendedEngineMatchesRebuild) {
 }
 
 TEST(SimilaritySketchTest, EmptyAppendIsStrictNoOp) {
-  // Empty batches must not create zero-width shards, grow envelope or
-  // sketch blocks, or change any result.
+  // Empty batches must not move the envelope or sketch arrays, change the
+  // shard count, or change any result.
   const std::vector<Matrix> traces = RandomCorpus(111, 7, 8, 2);
-  ShardedCorpus corpus(traces, /*shard_traces=*/3);
-  const size_t shards_before = corpus.num_shards();
-  corpus.Append({});
-  EXPECT_EQ(corpus.num_shards(), shards_before);
-  EXPECT_EQ(corpus.size(), traces.size());
 
   TraceSketchSet sketches;
-  ASSERT_TRUE(sketches.Build(corpus, /*bins=*/4, /*num_threads=*/1).ok());
-  const size_t sketch_blocks = sketches.num_blocks();
+  ASSERT_TRUE(sketches.Build(traces, /*bins=*/4, /*num_threads=*/1).ok());
+  const double* sketch_before = sketches.At(0);
   ASSERT_TRUE(
-      sketches.ExtendForAppend(corpus, corpus.size(), /*num_threads=*/1)
+      sketches.ExtendForAppend(traces, traces.size(), /*num_threads=*/1)
           .ok());
-  EXPECT_EQ(sketches.num_blocks(), sketch_blocks);
+  EXPECT_EQ(sketches.At(0), sketch_before);
 
   EnvelopeSet envelopes;
-  ASSERT_TRUE(envelopes.Build(corpus, /*window=*/2, /*num_threads=*/1).ok());
-  const size_t env_blocks = envelopes.num_blocks();
+  ASSERT_TRUE(envelopes.Build(traces, /*window=*/2, /*num_threads=*/1).ok());
+  const double* lower_before = envelopes.lower(0);
+  const double* upper_before = envelopes.upper(0);
   ASSERT_TRUE(
-      envelopes.ExtendForAppend(corpus, corpus.size(), /*num_threads=*/1)
+      envelopes.ExtendForAppend(traces, traces.size(), /*num_threads=*/1)
           .ok());
-  EXPECT_EQ(envelopes.num_blocks(), env_blocks);
+  EXPECT_EQ(envelopes.lower(0), lower_before);
+  EXPECT_EQ(envelopes.upper(0), upper_before);
 
-  auto engine = SimilarityQueryEngine::Build(traces, "Dependent-DTW",
-                                             /*window=*/2);
+  auto engine = SimilarityQueryEngine::Build(
+      traces, "Dependent-DTW", /*window=*/2, /*num_threads=*/1,
+      /*shard_traces=*/3);
   ASSERT_TRUE(engine.ok());
+  const size_t shards_before = engine->num_shards();
+  const double* cols_before = engine->col_data(0);
   Rng rng(112);
   const Matrix query = RandomSeries(rng, 8, 2);
   const auto before = engine->RankNeighbors(query, 3);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(engine->AppendTraces({}).ok());
+  EXPECT_EQ(engine->num_shards(), shards_before);
+  EXPECT_EQ(engine->corpus().size(), traces.size());
+  EXPECT_EQ(engine->col_data(0), cols_before);
   const auto after = engine->RankNeighbors(query, 3);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*before, *after);
@@ -299,10 +302,9 @@ TEST(SimilaritySketchTest, BinsValidation) {
   ASSERT_TRUE(generic.ok());
   EXPECT_EQ(generic->sketch_bins(), 0);
   // Raw sketch set: bins < 2 rejected.
-  const ShardedCorpus corpus(traces);
   TraceSketchSet sketches;
-  EXPECT_FALSE(sketches.Build(corpus, /*bins=*/1, /*num_threads=*/1).ok());
-  EXPECT_FALSE(sketches.Build(corpus, /*bins=*/0, /*num_threads=*/1).ok());
+  EXPECT_FALSE(sketches.Build(traces, /*bins=*/1, /*num_threads=*/1).ok());
+  EXPECT_FALSE(sketches.Build(traces, /*bins=*/0, /*num_threads=*/1).ok());
 }
 
 TEST(SimilaritySketchTest, RecordFieldsMatchSeries) {
@@ -310,7 +312,7 @@ TEST(SimilaritySketchTest, RecordFieldsMatchSeries) {
   // histogram mass, and PAA envelopes of the series it sketches.
   Rng rng(131);
   const Matrix series = RandomSeries(rng, 12, 2);
-  const ShardedCorpus corpus(std::vector<Matrix>{series});
+  const std::vector<Matrix> corpus{series};
   TraceSketchSet sketches;
   ASSERT_TRUE(sketches.Build(corpus, /*bins=*/8, /*num_threads=*/1).ok());
   const SketchLayout& layout = sketches.layout();

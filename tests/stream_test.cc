@@ -357,6 +357,38 @@ TEST(StreamAppendTest, AppendedEngineMatchesFromScratchBuild) {
                 << measure << " k=" << k << " split=" << split;
           }
         }
+
+        // Live ingest's pattern: one trace per append and a query between
+        // appends. An append may reallocate the engine's flat arrays, so
+        // every prefix is checked against a from-scratch Build of it.
+        Result<SimilarityQueryEngine> live = SimilarityQueryEngine::Build(
+            {all[0]}, measure, /*window=*/3, threads, shard_traces);
+        ASSERT_TRUE(live.ok()) << live.status().ToString();
+        for (size_t n = 2; n <= all.size(); ++n) {
+          ASSERT_TRUE(live->RankNeighbors(query, 1).ok());
+          ASSERT_TRUE(live->AppendTraces({all[n - 1]}, threads).ok());
+          const Result<SimilarityQueryEngine> scratch =
+              SimilarityQueryEngine::Build({all.begin(), all.begin() + n},
+                                           measure, /*window=*/3, threads,
+                                           shard_traces);
+          ASSERT_TRUE(scratch.ok());
+          const Result<Vector> live_d = live->Distances(query, threads);
+          const Result<Vector> scratch_d = scratch->Distances(query, threads);
+          ASSERT_TRUE(live_d.ok());
+          ASSERT_TRUE(scratch_d.ok());
+          EXPECT_EQ(*live_d, *scratch_d)
+              << measure << " shards=" << shard_traces
+              << " threads=" << threads << " n=" << n;
+          for (const size_t k : {1ul, 5ul, n}) {
+            const auto live_k = live->RankNeighbors(query, k);
+            const auto scratch_k = scratch->RankNeighbors(query, k);
+            ASSERT_TRUE(live_k.ok());
+            ASSERT_TRUE(scratch_k.ok());
+            EXPECT_EQ(*live_k, *scratch_k)
+                << measure << " shards=" << shard_traces << " k=" << k
+                << " n=" << n;
+          }
+        }
       }
     }
   }
