@@ -10,7 +10,6 @@
 #include "featsel/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "similarity/measures.h"
 
 namespace wpred {
 
@@ -24,6 +23,30 @@ Status NotFittedError(const char* method) {
                 "reference corpus (>= 2 experiments surviving the quality "
                 "gate) first",
                 method));
+}
+
+// The model fitted for (workload, terminals), else the workload's model at
+// the closest terminal count (the lower count on a tie).
+template <typename Model>
+Result<const Model*> NearestTerminalModel(
+    const std::map<std::pair<std::string, int>, Model>& models,
+    const std::string& workload, int terminals) {
+  const auto exact = models.find({workload, terminals});
+  if (exact != models.end()) return &exact->second;
+  const Model* best = nullptr;
+  int best_gap = std::numeric_limits<int>::max();
+  for (const auto& [key, model] : models) {
+    if (key.first != workload) continue;
+    const int gap = std::abs(key.second - terminals);
+    if (gap < best_gap) {
+      best_gap = gap;
+      best = &model;
+    }
+  }
+  if (best == nullptr) {
+    return Status::NotFound("no scaling model for workload " + workload);
+  }
+  return best;
 }
 
 // One (workload, terminals) key's scaling models. A failure travels in
@@ -339,6 +362,24 @@ Result<Pipeline::PreparedObservation> Pipeline::PrepareObserved(
   return prepared;
 }
 
+// The gated reference corpus rebuilt over a degraded read's effective
+// features, which the fitted engine's representations do not match.
+Result<SimilarityQueryEngine> Pipeline::DegradedEngine(
+    const std::vector<size_t>& features) const {
+  WPRED_ASSIGN_OR_RETURN(
+      std::vector<Matrix> rebuilt,
+      ParallelMap<Matrix>(reference_corpus_.size(), config_.num_threads,
+                          [&](size_t i) -> Result<Matrix> {
+                            return BuildRepresentation(
+                                config_.representation, reference_corpus_[i],
+                                features, ctx_);
+                          }));
+  return SimilarityQueryEngine::Build(std::move(rebuilt), config_.measure,
+                                      /*window=*/0, config_.num_threads,
+                                      config_.similarity_shard_traces,
+                                      config_.similarity_sketch_bins);
+}
+
 Result<std::vector<Pipeline::WorkloadDistance>> Pipeline::RankPrepared(
     const PreparedObservation& observation) const {
   obs::Span rank_span("similarity_ranking");
@@ -348,28 +389,13 @@ Result<std::vector<Pipeline::WorkloadDistance>> Pipeline::RankPrepared(
                           observation.features, ctx_));
   // Distances compute in parallel into per-reference slots; the per-workload
   // aggregation below runs after the join in reference order, keeping the
-  // ranking bit-identical at any thread count. The healthy path scans the
-  // query engine's cached representations; degraded feature sets don't match
-  // those, so they rebuild representations over the effective features from
-  // the gated corpus.
+  // ranking bit-identical at any thread count.
   Vector distances;
   if (observation.degraded) {
-    std::vector<Matrix> rebuilt;
-    WPRED_ASSIGN_OR_RETURN(
-        rebuilt,
-        ParallelMap<Matrix>(reference_corpus_.size(), config_.num_threads,
-                            [&](size_t i) -> Result<Matrix> {
-                              return BuildRepresentation(
-                                  config_.representation, reference_corpus_[i],
-                                  observation.features, ctx_);
-                            }));
-    WPRED_ASSIGN_OR_RETURN(
-        distances,
-        ParallelMap<double>(rebuilt.size(), config_.num_threads,
-                            [&](size_t i) -> Result<double> {
-                              return MeasureDistance(config_.measure, rep,
-                                                     rebuilt[i]);
-                            }));
+    WPRED_ASSIGN_OR_RETURN(const SimilarityQueryEngine engine,
+                           DegradedEngine(observation.features));
+    WPRED_ASSIGN_OR_RETURN(distances,
+                           engine.Distances(rep, config_.num_threads));
   } else {
     WPRED_ASSIGN_OR_RETURN(distances,
                            query_engine_->Distances(rep, config_.num_threads));
@@ -414,22 +440,8 @@ Result<std::vector<Neighbor>> Pipeline::NearestReferences(
       BuildRepresentation(config_.representation, prepared.experiment(),
                           prepared.features, ctx_));
   if (prepared.degraded) {
-    // Degraded feature sets don't match the engine's cached representations;
-    // build a throwaway engine over the effective features.
-    WPRED_ASSIGN_OR_RETURN(
-        std::vector<Matrix> rebuilt,
-        ParallelMap<Matrix>(reference_corpus_.size(), config_.num_threads,
-                            [&](size_t i) -> Result<Matrix> {
-                              return BuildRepresentation(
-                                  config_.representation, reference_corpus_[i],
-                                  prepared.features, ctx_);
-                            }));
-    WPRED_ASSIGN_OR_RETURN(
-        const SimilarityQueryEngine engine,
-        SimilarityQueryEngine::Build(std::move(rebuilt), config_.measure,
-                                     /*window=*/0, config_.num_threads,
-                                     config_.similarity_shard_traces,
-                                     config_.similarity_sketch_bins));
+    WPRED_ASSIGN_OR_RETURN(const SimilarityQueryEngine engine,
+                           DegradedEngine(prepared.features));
     return engine.RankNeighbors(rep, k);
   }
   return query_engine_->RankNeighbors(rep, k);
@@ -441,47 +453,6 @@ Result<std::vector<Pipeline::WorkloadDistance>> Pipeline::RankWorkloads(
   WPRED_ASSIGN_OR_RETURN(const PreparedObservation prepared,
                          PrepareObserved(observed));
   return RankPrepared(prepared);
-}
-
-Result<const PairwiseScalingModel*> Pipeline::PairwiseModelFor(
-    const std::string& workload, int terminals) const {
-  // Exact (workload, terminals) first, then the closest terminal count.
-  const auto exact = pairwise_.find({workload, terminals});
-  if (exact != pairwise_.end()) return &exact->second;
-  const PairwiseScalingModel* best = nullptr;
-  int best_gap = std::numeric_limits<int>::max();
-  for (const auto& [key, model] : pairwise_) {
-    if (key.first != workload) continue;
-    const int gap = std::abs(key.second - terminals);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = &model;
-    }
-  }
-  if (best == nullptr) {
-    return Status::NotFound("no scaling model for workload " + workload);
-  }
-  return best;
-}
-
-Result<const SingleScalingModel*> Pipeline::SingleModelFor(
-    const std::string& workload, int terminals) const {
-  const auto exact = single_.find({workload, terminals});
-  if (exact != single_.end()) return &exact->second;
-  const SingleScalingModel* best = nullptr;
-  int best_gap = std::numeric_limits<int>::max();
-  for (const auto& [key, model] : single_) {
-    if (key.first != workload) continue;
-    const int gap = std::abs(key.second - terminals);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = &model;
-    }
-  }
-  if (best == nullptr) {
-    return Status::NotFound("no scaling model for workload " + workload);
-  }
-  return best;
 }
 
 Result<Pipeline::Prediction> Pipeline::PredictThroughput(
@@ -513,14 +484,16 @@ Result<Pipeline::Prediction> Pipeline::PredictThroughput(
   if (config_.context == ModelContext::kPairwise) {
     WPRED_ASSIGN_OR_RETURN(
         const PairwiseScalingModel* model,
-        PairwiseModelFor(prediction.reference_workload, observed.terminals));
+        NearestTerminalModel(pairwise_, prediction.reference_workload,
+                             observed.terminals));
     Result<double> transition =
         model->PredictTransitionScaled(from, to, perf, observed.data_group);
     if (!transition.ok()) {
       // Unseen SKU pair: fall back to the single curve.
       WPRED_ASSIGN_OR_RETURN(
           const SingleScalingModel* single,
-          SingleModelFor(prediction.reference_workload, observed.terminals));
+          NearestTerminalModel(single_, prediction.reference_workload,
+                               observed.terminals));
       transition = single->PredictTransition(from, to, perf,
                                              observed.data_group);
     }
@@ -528,7 +501,8 @@ Result<Pipeline::Prediction> Pipeline::PredictThroughput(
   } else {
     WPRED_ASSIGN_OR_RETURN(
         const SingleScalingModel* single,
-        SingleModelFor(prediction.reference_workload, observed.terminals));
+        NearestTerminalModel(single_, prediction.reference_workload,
+                             observed.terminals));
     WPRED_ASSIGN_OR_RETURN(
         prediction.throughput_tps,
         single->PredictTransition(from, to, perf, observed.data_group));

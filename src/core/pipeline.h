@@ -221,11 +221,10 @@ class Pipeline {
   Result<PreparedObservation> PrepareObserved(const Experiment& observed) const;
   Result<std::vector<WorkloadDistance>> RankPrepared(
       const PreparedObservation& observation) const;
-
-  Result<const PairwiseScalingModel*> PairwiseModelFor(
-      const std::string& workload, int terminals) const;
-  Result<const SingleScalingModel*> SingleModelFor(const std::string& workload,
-                                                   int terminals) const;
+  /// A similarity engine over the gated reference corpus rebuilt for
+  /// `features`: the effective features of a degraded read.
+  Result<SimilarityQueryEngine> DegradedEngine(
+      const std::vector<size_t>& features) const;
 
   PipelineConfig config_;
   bool fitted_ = false;

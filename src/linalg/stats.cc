@@ -21,8 +21,7 @@ namespace {
 // orders of magnitude below mean² — past double precision), and even the
 // two-pass form loses digits once the mean itself rounds. Welford keeps a
 // running mean and accumulates squared deviations from it, so each term is
-// already centred. The streaming layer shares this exact recurrence
-// (stream/window.h), so batch and online moments agree.
+// already centred.
 double WelfordM2(const Vector& v) {
   double mean = 0.0;
   double m2 = 0.0;

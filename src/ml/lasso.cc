@@ -42,9 +42,8 @@ Standardised StandardiseProblem(const Matrix& x, const Vector& y) {
 }
 
 // Cyclic coordinate descent on the standardised problem. `coef` is the
-// warm start and receives the solution. Returns the number of full sweeps
-// taken (== max_iter when the tolerance was never reached).
-int CoordinateDescent(const Matrix& x, const Vector& y, double alpha,
+// starting point and receives the solution.
+void CoordinateDescent(const Matrix& x, const Vector& y, double alpha,
                       double l1_ratio, int max_iter, double tol,
                       Vector& coef) {
   const size_t n = x.rows();
@@ -88,7 +87,6 @@ int CoordinateDescent(const Matrix& x, const Vector& y, double alpha,
   }
   WPRED_COUNT_ADD("ml.lasso.cd_calls", 1);
   WPRED_COUNT_ADD("ml.lasso.cd_sweeps", static_cast<uint64_t>(iters));
-  return iters;
 }
 
 }  // namespace
@@ -110,14 +108,9 @@ Status ElasticNet::Fit(const Matrix& x, const Vector& y) {
   feature_mean_ = s.mean;
   feature_scale_ = s.scale;
   intercept_ = s.y_mean;
-  // Coefficients live in the standardised space, so the previous solution
-  // is a valid starting point for the re-standardised problem whenever the
-  // arity matches.
-  if (!(warm_start_ && coef_.size() == x.cols())) {
-    coef_.assign(x.cols(), 0.0);
-  }
-  last_sweeps_ = CoordinateDescent(s.x, s.y_centered, alpha_, l1_ratio_,
-                                   max_iter_, tol_, coef_);
+  coef_.assign(x.cols(), 0.0);
+  CoordinateDescent(s.x, s.y_centered, alpha_, l1_ratio_, max_iter_, tol_,
+                    coef_);
   fitted_ = true;
   return Status::OK();
 }

@@ -31,34 +31,17 @@ class ElasticNet : public Regressor {
   /// Intercept in the standardised space (mean of y).
   double intercept() const { return intercept_; }
 
-  /// Warm start: when enabled, a repeat Fit() resumes coordinate descent
-  /// from the previous solution instead of all-zeros — the streaming
-  /// refresh path refits on a slid window where the old optimum is already
-  /// near the new one, so descent converges in a few sweeps. Both starts
-  /// descend to the same tolerance, so warm and cold solutions agree to
-  /// within `tol` per coordinate (the documented warm-start tolerance; see
-  /// DESIGN.md §13). A warm start is only used when the feature arity
-  /// matches the previous fit; otherwise it falls back to the cold start.
-  void set_warm_start(bool warm_start) { warm_start_ = warm_start; }
-  bool warm_start() const { return warm_start_; }
-  /// Full coordinate-descent sweeps the last Fit() took (== max_iter when
-  /// the tolerance was never reached); 0 before any fit. The warm-start
-  /// equivalence tests read this to show the resume actually saves work.
-  int last_sweeps() const { return last_sweeps_; }
-
  private:
   double alpha_;
   double l1_ratio_;
   int max_iter_;
   double tol_;
-  bool warm_start_ = false;
 
   Vector coef_;
   double intercept_ = 0.0;
   Vector feature_mean_;
   Vector feature_scale_;
   bool fitted_ = false;
-  int last_sweeps_ = 0;
 };
 
 /// Lasso = ElasticNet with l1_ratio 1.

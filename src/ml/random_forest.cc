@@ -41,18 +41,15 @@ Vector MeanImportances(const std::vector<internal::FittedTree>& trees,
   return importances;
 }
 
-// Fits regression trees [begin, begin + count) into preallocated slots.
-// Each tree forks two independent streams off the forest seed: tag 2t for
-// the bootstrap row draws, tag 2t+1 for the tree's internal feature
-// subsampling. (Sharing one stream for both replays identical draws and
-// correlates bagging with split selection.) Tags depend only on the global
-// tree index t — never on `begin`, the thread, or sibling trees — so
-// parallel fitting into preallocated slots stays bit-identical to serial,
-// and growing trees [T, T+A) later reproduces exactly the trees a larger
-// from-scratch fit would build.
+// Fits regression trees [0, count) into preallocated slots. Each tree forks
+// two independent streams off the forest seed: tag 2t for the bootstrap row
+// draws, tag 2t+1 for the tree's internal feature subsampling. (Sharing one
+// stream for both replays identical draws and correlates bagging with split
+// selection.) Tags depend only on the tree index t — never on the thread or
+// sibling trees — so parallel fitting into preallocated slots stays
+// bit-identical to serial.
 Status FitRegressionTreeRange(const Matrix& x, const Vector& y,
-                              const ForestParams& params, size_t begin,
-                              size_t count,
+                              const ForestParams& params, size_t count,
                               std::vector<internal::FittedTree>& trees) {
   TreeParams tree_params;
   tree_params.max_depth = params.max_depth;
@@ -62,8 +59,7 @@ Status FitRegressionTreeRange(const Matrix& x, const Vector& y,
                                  : std::max<size_t>(1, x.cols() / 3);
 
   const Rng rng(params.seed);
-  return ParallelFor(count, params.num_threads, [&](size_t i) -> Status {
-    const size_t t = begin + i;
+  return ParallelFor(count, params.num_threads, [&](size_t t) -> Status {
     TreeParams tp = tree_params;
     Rng bootstrap_rng = rng.Fork(2 * t);
     tp.seed = rng.Fork(2 * t + 1).seed();
@@ -83,29 +79,8 @@ Status RandomForestRegressor::Fit(const Matrix& x, const Vector& y) {
   num_features_ = x.cols();
   trees_.resize(static_cast<size_t>(params_.num_trees));
   WPRED_RETURN_IF_ERROR(FitRegressionTreeRange(
-      x, y, params_, 0, static_cast<size_t>(params_.num_trees), trees_));
+      x, y, params_, static_cast<size_t>(params_.num_trees), trees_));
   WPRED_COUNT_ADD("ml.rf.fits", 1);
-  return Status::OK();
-}
-
-Status RandomForestRegressor::GrowTrees(const Matrix& x, const Vector& y,
-                                        int additional) {
-  if (!fitted()) {
-    return Status::FailedPrecondition("GrowTrees before a successful Fit");
-  }
-  WPRED_RETURN_IF_ERROR(ValidateProblem(x, y.size(), additional));
-  if (x.cols() != num_features_) {
-    return Status::InvalidArgument("feature arity mismatch with fitted forest");
-  }
-  const size_t old_size = trees_.size();
-  trees_.resize(old_size + static_cast<size_t>(additional));
-  const Status grown = FitRegressionTreeRange(
-      x, y, params_, old_size, static_cast<size_t>(additional), trees_);
-  if (!grown.ok()) {
-    trees_.resize(old_size);  // keep the fitted forest usable on failure
-    return grown;
-  }
-  WPRED_COUNT_ADD("ml.rf.trees_grown", static_cast<uint64_t>(additional));
   return Status::OK();
 }
 

@@ -32,22 +32,11 @@ class RandomForestRegressor : public Regressor {
   explicit RandomForestRegressor(ForestParams params = {}) : params_(params) {}
 
   Status Fit(const Matrix& x, const Vector& y) override;
-
-  /// Incremental model refresh: fits `additional` more trees on (x, y) and
-  /// appends them to the forest. Tree t forks its RNG streams with tags
-  /// (2t, 2t+1) that depend only on t, so Fit with num_trees = T followed
-  /// by GrowTrees(x, y, A) on the same data is bit-identical to one Fit
-  /// with num_trees = T + A — predictions, importances, everything. With
-  /// fresh window data the new trees bag over the new sample instead
-  /// (the streaming refresh path), trading exact equivalence for a forest
-  /// that tracks the regime without refitting the first T trees.
-  Status GrowTrees(const Matrix& x, const Vector& y, int additional);
-
   Result<double> Predict(const Vector& row) const override;
   bool fitted() const override { return !trees_.empty(); }
   Result<Vector> FeatureImportances() const override;
 
-  /// Trees fitted so far (Fit plus every GrowTrees).
+  /// Trees in the fitted forest.
   int num_trees() const { return static_cast<int>(trees_.size()); }
 
  private:

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "common/parallel.h"
 #include "common/string_util.h"
@@ -132,28 +131,6 @@ Status WriteMetricsJsonFile(const std::string& path) {
   DumpMetricsJson(out);
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
-}
-
-void DumpMetricsCsv(std::ostream& os) {
-  os << "kind,name,value\n";
-  for (const auto& [name, value] :
-       MetricsRegistry::Global().CounterSnapshot()) {
-    os << "counter," << name << "," << value << "\n";
-  }
-  for (const auto& [name, value] : MetricsRegistry::Global().GaugeSnapshot()) {
-    os << "gauge," << name << "," << FormatCompact(value) << "\n";
-  }
-  for (const auto& [name, histogram] :
-       MetricsRegistry::Global().HistogramSnapshot()) {
-    os << "histogram_count," << name << "," << histogram->count() << "\n";
-    os << "histogram_sum," << name << "," << FormatCompact(histogram->sum())
-       << "\n";
-  }
-  for (const auto& [path, stats] : SpanRegistry::Global().Snapshot()) {
-    os << "span_count," << path << "," << stats.count << "\n";
-    os << "span_total_seconds," << path << ","
-       << FormatCompact(stats.total_seconds) << "\n";
-  }
 }
 
 std::string RenderSpanTree(const Json& metrics) {

@@ -24,9 +24,6 @@ std::string DumpMetricsJson();
 void DumpMetricsJson(std::ostream& os);
 Status WriteMetricsJsonFile(const std::string& path);
 
-/// Flat "kind,name,value" CSV of counters, gauges, and histogram summaries.
-void DumpMetricsCsv(std::ostream& os);
-
 /// Renders the "spans" section of a metrics JSON document as an indented
 /// tree: one line per path with call count, total seconds, and the share of
 /// the parent span's time.

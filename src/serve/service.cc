@@ -15,6 +15,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Refit backoff: each retry waits twice as long as the last, jittered by
+// ±kJitterFraction from a stream seeded with kJitterSeed.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.2;
+constexpr uint64_t kJitterSeed = 0x5e9e5;
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -55,7 +61,7 @@ std::string_view ServingStateName(ServingState state) {
 }
 
 PredictionService::PredictionService(ServiceConfig config)
-    : config_(std::move(config)), jitter_rng_(config_.jitter_seed) {
+    : config_(std::move(config)), jitter_rng_(kJitterSeed) {
   supervisor_ = std::thread([this] { SupervisorLoop(); });
 }
 
@@ -273,8 +279,7 @@ Status PredictionService::SupervisedRefit(const ExperimentCorpus& corpus) {
     if (attempt == max_attempts) break;
     // Jittered exponential backoff, but never past the deadline budget.
     const double jitter =
-        1.0 + policy.jitter_fraction *
-                  jitter_rng_.Uniform(-1.0, 1.0);
+        1.0 + kJitterFraction * jitter_rng_.Uniform(-1.0, 1.0);
     const double sleep_s = std::max(0.0, backoff * jitter);
     if (policy.deadline_s > 0.0 &&
         SecondsSince(start) + sleep_s >= policy.deadline_s) {
@@ -285,8 +290,7 @@ Status PredictionService::SupervisedRefit(const ExperimentCorpus& corpus) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-    backoff = std::min(policy.max_backoff_s,
-                       backoff * std::max(1.0, policy.backoff_multiplier));
+    backoff = std::min(policy.max_backoff_s, backoff * kBackoffMultiplier);
   }
 
   EnterDegraded(last);
@@ -320,7 +324,7 @@ void PredictionService::PublishSnapshot(SnapshotPtr snapshot) {
   WPRED_GAUGE_SET("serve.snapshot.sketch_bins",
                   static_cast<double>(published.pipeline->sketch_bins()));
   WPRED_HIST_RECORD("serve.fit.seconds", published.fit_seconds);
-  if (!config_.checkpoint_path.empty() && config_.checkpoint_on_publish) {
+  if (!config_.checkpoint_path.empty()) {
     const Status written =
         WriteCheckpoint(config_.checkpoint_path, published.config,
                         published.source_corpus);

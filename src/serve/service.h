@@ -43,13 +43,10 @@ namespace wpred::serve {
 struct RetryPolicy {
   /// Maximum fit attempts per refit request; >= 1.
   int max_attempts = 3;
-  /// Backoff before attempt n+1 is initial * multiplier^(n-1), capped.
+  /// Backoff before attempt n+1 is initial * 2^(n-1), capped, then jittered
+  /// by ±20% from a deterministic per-service stream.
   double initial_backoff_s = 0.5;
-  double backoff_multiplier = 2.0;
   double max_backoff_s = 8.0;
-  /// Uniform jitter: the actual sleep is backoff * (1 ± jitter_fraction),
-  /// drawn from a deterministic per-service stream (seeded, reproducible).
-  double jitter_fraction = 0.2;
   /// Total wall budget for one refit request, attempts + backoffs. A fit
   /// already running is never pre-empted (Fit is not interruptible); the
   /// deadline gates whether another attempt or backoff may start.
@@ -64,12 +61,9 @@ struct ServiceConfig {
   /// starve the refit thread); false only counts serve.overload.soft.
   bool shed_on_overload = true;
   RetryPolicy refit;
-  /// Checkpoint file; empty disables checkpointing entirely.
+  /// Checkpoint file, written after every successful publish; empty
+  /// disables checkpointing entirely.
   std::string checkpoint_path;
-  /// Write a checkpoint after every successful publish (needs a path).
-  bool checkpoint_on_publish = true;
-  /// Seed for the backoff-jitter stream.
-  uint64_t jitter_seed = 0x5e9e5;
 };
 
 /// Lifecycle / health of the service.

@@ -77,9 +77,8 @@ namespace representation_internal {
 /// the similarity sketches' frozen value frame after appends) would make
 /// `static_cast<int>(v * bins)` undefined behaviour once v·bins leaves
 /// int's range, so a post-cast clamp cannot be relied on. NaN also pins to
-/// bin 0 instead of an undefined conversion. Batch BuildHistFp, the
-/// streaming incremental histogram (stream/window.h), and the tier-0
-/// similarity sketches (similarity/sketch.h) all route through this
+/// bin 0 instead of an undefined conversion. BuildHistFp and the tier-0
+/// similarity sketches (similarity/sketch.h) both route through this
 /// helper, so the edge policy lives in exactly one place.
 inline int HistFpBin(double v, int bins) {
   if (!(v > 0.0)) return 0;        // lower edge, arbitrarily far, and NaN

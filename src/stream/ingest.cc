@@ -1,8 +1,7 @@
 #include "stream/ingest.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -11,41 +10,9 @@
 
 namespace wpred {
 
-namespace stream_internal {
-
-Result<std::optional<size_t>> ParseWindowEnv(const char* value) {
-  if (value == nullptr || *value == '\0') {
-    return std::optional<size_t>(std::nullopt);
-  }
-  const std::string_view text(value);
-  size_t parsed = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), parsed);
-  if (ec != std::errc() || end != text.data() + text.size()) {
-    return Status::InvalidArgument(
-        StrFormat("WPRED_STREAM_WINDOW='%s' is not a positive integer",
-                  value));
-  }
-  if (parsed < 2) {
-    return Status::InvalidArgument(
-        StrFormat("WPRED_STREAM_WINDOW=%zu is below the 2-sample minimum",
-                  parsed));
-  }
-  return std::optional<size_t>(parsed);
-}
-
-}  // namespace stream_internal
-
 Result<IncrementalIngest> IncrementalIngest::Create(
     const IngestConfig& config, std::vector<size_t> features,
     NormalizationContext ctx, Experiment prototype) {
-  size_t window_samples = config.window_samples;
-  if (window_samples == 0) {
-    WPRED_ASSIGN_OR_RETURN(
-        const std::optional<size_t> env,
-        stream_internal::ParseWindowEnv(std::getenv("WPRED_STREAM_WINDOW")));
-    window_samples = env.value_or(kDefaultStreamWindowSamples);
-  }
   if (features.empty()) {
     return Status::InvalidArgument("ingest needs a non-empty feature set");
   }
@@ -65,7 +32,7 @@ Result<IncrementalIngest> IncrementalIngest::Create(
   IncrementalIngest ingest;
   WPRED_ASSIGN_OR_RETURN(
       ingest.window_,
-      SlidingWindow::Create(window_samples, std::move(ctx),
+      SlidingWindow::Create(config.window_samples, std::move(ctx),
                             config.hist_bins));
   ingest.detectors_.reserve(resource_features.size());
   for (size_t i = 0; i < resource_features.size(); ++i) {
@@ -74,7 +41,6 @@ Result<IncrementalIngest> IncrementalIngest::Create(
     ingest.detectors_.push_back(std::move(detector));
   }
   ingest.config_ = config;
-  ingest.config_.window_samples = window_samples;
   ingest.features_ = std::move(features);
   ingest.resource_features_ = std::move(resource_features);
   ingest.prototype_ = std::move(prototype);

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -17,15 +16,15 @@
 // Incremental ingestion (DESIGN.md §13).
 //
 // IncrementalIngest turns the batch pipeline's frozen-corpus workflow into
-// a live loop: telemetry samples append one at a time, the sliding window
-// keeps the workload's representation current in O(features) per sample,
-// per-feature online Bayesian change-point detectors watch the same stream,
-// and a detected regime shift (a) re-segments the window, (b) appends the
-// window's representation to a growing reference engine, and (c)
-// requests a supervised model refit through a caller-installed sink — the
-// serving layer wires that sink to PredictionService::RequestRefit
-// (serve/stream_refit.h), which is the only place outside stream/ allowed
-// to touch the refit hooks (lint layering rule).
+// a live loop: telemetry samples append one at a time to a sliding window
+// in O(features) per sample, per-feature online Bayesian change-point
+// detectors watch the same stream, and a detected regime shift
+// (a) re-segments the window, (b) appends the window's representation to a
+// growing reference engine, and (c) requests a supervised model refit
+// through a caller-installed sink — the serving layer wires that sink to
+// PredictionService::RequestRefit (serve/stream_refit.h), which is the only
+// place outside stream/ allowed to touch the refit hooks (lint layering
+// rule).
 //
 // Threading: single-writer. One thread owns Observe and the accessors; the
 // refit sink fires inside Observe on that thread and is expected to hand
@@ -42,16 +41,13 @@
 
 namespace wpred {
 
-/// Default sliding window when IngestConfig::window_samples is 0 and
-/// WPRED_STREAM_WINDOW is unset: 240 samples = 40 min at the paper's 10 s
+/// Default sliding window: 240 samples = 40 min at the paper's 10 s
 /// cadence, a few expected regime lengths under the default hazard.
 inline constexpr size_t kDefaultStreamWindowSamples = 240;
 
 struct IngestConfig {
-  /// Sliding-window length in samples. 0 resolves WPRED_STREAM_WINDOW from
-  /// the environment (strict positive integer, >= 2; anything else fails
-  /// Create) and falls back to kDefaultStreamWindowSamples when unset.
-  size_t window_samples = 0;
+  /// Sliding-window length in samples, >= 2 (smaller fails Create).
+  size_t window_samples = kDefaultStreamWindowSamples;
   /// Histogram bins for the window fingerprint (matches BuildHistFp).
   int hist_bins = 10;
   /// Representation appended to the reference engine on a regime shift.
@@ -118,7 +114,7 @@ class IncrementalIngest {
   }
 
   /// Ingests one telemetry sample (kNumResourceFeatures raw values):
-  /// updates the window in O(features), feeds every detector, and on a
+  /// pushes it into the window in O(features), feeds every detector, and on a
   /// detected regime shift re-segments, grows the reference engine, and
   /// (debounced) fires the refit sink.
   Result<IngestUpdate> Observe(const Vector& resource_sample);
@@ -163,16 +159,6 @@ class IncrementalIngest {
   // samples from here (and from stream start).
   uint64_t last_refit_sample_ = 0;
 };
-
-namespace stream_internal {
-
-/// Strict parse of WPRED_STREAM_WINDOW: digits only, value >= 2. nullptr /
-/// empty means "unset" (returns nullopt); anything else is an error so a
-/// typo fails loudly at Create instead of silently running a default
-/// window.
-Result<std::optional<size_t>> ParseWindowEnv(const char* value);
-
-}  // namespace stream_internal
 
 }  // namespace wpred
 

@@ -1,43 +1,11 @@
 #include "stream/window.h"
 
-#include <cmath>
 #include <utility>
 
+#include "telemetry/experiment.h"
 #include "telemetry/feature_catalog.h"
 
 namespace wpred {
-
-void RunningMoments::Push(double x) {
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningMoments::Pop(double x) {
-  WPRED_DCHECK_GT(count_, 0u);
-  if (count_ == 1) {
-    count_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    return;
-  }
-  // Reverse of the Welford update: recover the mean the accumulator had
-  // before x arrived, then subtract x's contribution to the centred sum.
-  const double mean_before =
-      (static_cast<double>(count_) * mean_ - x) /
-      static_cast<double>(count_ - 1);
-  m2_ -= (x - mean_) * (x - mean_before);
-  // Downdating can leave a tiny negative residue where the true value is 0.
-  if (m2_ < 0.0) m2_ = 0.0;
-  mean_ = mean_before;
-  --count_;
-}
-
-double RunningMoments::variance() const {
-  if (count_ == 0) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
 
 Result<SlidingWindow> SlidingWindow::Create(size_t capacity,
                                             NormalizationContext ctx,
@@ -55,10 +23,6 @@ Result<SlidingWindow> SlidingWindow::Create(size_t capacity,
   window.hist_bins_ = hist_bins;
   window.ctx_ = std::move(ctx);
   window.ring_ = Matrix(capacity, kNumResourceFeatures);
-  window.counts_.assign(
-      kNumResourceFeatures,
-      std::vector<uint32_t>(static_cast<size_t>(hist_bins), 0));
-  window.moments_.assign(kNumResourceFeatures, RunningMoments{});
   return window;
 }
 
@@ -74,29 +38,11 @@ Status SlidingWindow::Push(const Vector& resource_row) {
   if (!AllFinite(resource_row)) {
     return Status::InvalidArgument("non-finite values in sample row");
   }
-  if (size_ == capacity_) {
-    // Evict the oldest row (the slot head_ points at) from the incremental
-    // state before overwriting it.
-    for (size_t f = 0; f < kNumResourceFeatures; ++f) {
-      const double old = ring_(head_, f);
-      const int bin = representation_internal::HistFpBin(
-          NormalizeValue(ctx_, f, old), hist_bins_);
-      WPRED_DCHECK_GT(counts_[f][static_cast<size_t>(bin)], 0u);
-      --counts_[f][static_cast<size_t>(bin)];
-      moments_[f].Pop(old);
-    }
-    --size_;
-  }
   for (size_t f = 0; f < kNumResourceFeatures; ++f) {
-    const double v = resource_row[f];
-    ring_(head_, f) = v;
-    const int bin = representation_internal::HistFpBin(
-        NormalizeValue(ctx_, f, v), hist_bins_);
-    ++counts_[f][static_cast<size_t>(bin)];
-    moments_[f].Push(v);
+    ring_(head_, f) = resource_row[f];
   }
   head_ = (head_ + 1) % capacity_;
-  ++size_;
+  if (size_ < capacity_) ++size_;
   ++pushed_;
   return Status::OK();
 }
@@ -115,26 +61,6 @@ Matrix SlidingWindow::Rows() const {
   return out;
 }
 
-Result<Matrix> SlidingWindow::Mts(const std::vector<size_t>& features) const {
-  if (features.empty()) return Status::InvalidArgument("no features selected");
-  for (size_t f : features) {
-    if (f >= kNumResourceFeatures) {
-      return Status::InvalidArgument(
-          "window representations only cover resource features");
-    }
-  }
-  if (size_ == 0) return Status::FailedPrecondition("window is empty");
-  Matrix out(size_, features.size());
-  const size_t start = size_ == capacity_ ? head_ : 0;
-  for (size_t i = 0; i < size_; ++i) {
-    const size_t slot = (start + i) % capacity_;
-    for (size_t j = 0; j < features.size(); ++j) {
-      out(i, j) = NormalizeValue(ctx_, features[j], ring_(slot, features[j]));
-    }
-  }
-  return out;
-}
-
 Result<Matrix> SlidingWindow::HistFp(
     const std::vector<size_t>& features) const {
   if (features.empty()) return Status::InvalidArgument("no features selected");
@@ -145,24 +71,9 @@ Result<Matrix> SlidingWindow::HistFp(
     }
   }
   if (size_ == 0) return Status::FailedPrecondition("window is empty");
-  const size_t bins = static_cast<size_t>(hist_bins_);
-  Matrix out(bins, features.size());
-  const double weight = 1.0 / static_cast<double>(size_);
-  for (size_t j = 0; j < features.size(); ++j) {
-    const std::vector<uint32_t>& counts = counts_[features[j]];
-    // Replay count_b additions of 1/n per bin: a batch build adds the same
-    // constant into each bin accumulator, so the float result depends only
-    // on the count — summing count_b · weight in one multiply would NOT be
-    // bit-identical, repeated addition is.
-    double cum = 0.0;
-    for (size_t b = 0; b < bins; ++b) {
-      double mass = 0.0;
-      for (uint32_t k = 0; k < counts[b]; ++k) mass += weight;
-      cum += mass;
-      out(b, j) = cum;
-    }
-  }
-  return out;
+  Experiment window;
+  window.resource.values = Rows();
+  return BuildHistFp(window, features, ctx_, hist_bins_);
 }
 
 }  // namespace wpred

@@ -1,5 +1,5 @@
-#ifndef WPRED_STREAM_WINDOW_H_
-#define WPRED_STREAM_WINDOW_H_
+#ifndef WPRED_STREAM_SLIDING_WINDOW_H_
+#define WPRED_STREAM_SLIDING_WINDOW_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -11,60 +11,15 @@
 
 // Sliding telemetry window (DESIGN.md §13).
 //
-// The batch pipeline builds a workload's representation from a complete
-// resource time-series. Under live traffic a representation must instead
-// track the last W samples, and rebuilding it from scratch on every arrival
-// is O(W·F) work per sample for state that changes by exactly one row.
-// SlidingWindow keeps the incremental state — a ring of raw sample rows,
-// per-feature normalised-histogram bin counts, and Welford running moments
-// — so each Push costs O(F) and a representation emit costs O(W·F) only
-// when somebody actually wants the matrix.
-//
-// The equivalence contract: Mts() and HistFp() are BIT-IDENTICAL to
-// BuildMts / BuildHistFp over an experiment holding Rows(), at any fill
-// level and after any number of evictions (StreamWindowTest pins this).
-// For Mts that is immediate — both normalise the same cells with the same
-// clamped NormalizeValue. For HistFp it holds because the batch builder
-// accumulates the constant 1/n into each bin independently, so a bin's
-// float value depends only on its COUNT, which the window maintains
-// exactly; the emit replays count_b additions of 1/n per bin and then the
-// same cumulative sum. Both paths route the edge policy through
-// representation_internal::HistFpBin, so a sample sitting exactly on the
-// running feature max lands in the last bin in both — and values far
-// outside [lo, hi] (NormalizeValue clamps, but HistFpBin no longer trusts
-// that) pin to the edge bins instead of tripping the int-cast UB the old
-// post-cast clamp had.
+// A live workload's representation tracks its last W samples. The window is
+// a fixed ring of raw sample rows: Push overwrites one row in O(features),
+// and every representation comes from the batch builders over Rows(), so
+// the stream and the batch pipeline share one implementation of each.
 
 namespace wpred {
 
-/// Per-feature Welford running moments over the sliding window. Pushes use
-/// Welford's update; evictions use the reverse downdate. Downdating is the
-/// one place the window trades bits for speed: after evictions the moments
-/// match a fresh two-pass/Welford recompute only to within accumulated
-/// rounding (documented tolerance ~1e-9 relative in StreamWindowTest), so
-/// they feed drift telemetry and gauges, never the representation
-/// equivalence contract above.
-class RunningMoments {
- public:
-  void Push(double x);
-  /// Removes one previously pushed value. The caller guarantees `x` is in
-  /// the current multiset (the window ring makes this structural).
-  void Pop(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  /// Population variance (matches linalg Variance semantics; 0 for n < 1).
-  double variance() const;
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Fixed-capacity ring of resource-sample rows with incrementally
-/// maintained representation state. Single-writer, like everything in the
-/// streaming layer: Push must not race the emit accessors.
+/// Fixed-capacity ring of resource-sample rows. Single-writer, like
+/// everything in the streaming layer: Push must not race the accessors.
 class SlidingWindow {
  public:
   /// Default-constructed windows are empty placeholders (capacity 0, every
@@ -81,7 +36,7 @@ class SlidingWindow {
                                       int hist_bins = 10);
 
   /// Appends one sample row (size kNumResourceFeatures, all finite),
-  /// evicting the oldest once full. O(features).
+  /// overwriting the oldest once full. O(features); allocates nothing.
   Status Push(const Vector& resource_row);
 
   /// Rows currently held (== capacity once warm).
@@ -97,22 +52,10 @@ class SlidingWindow {
   /// see. O(window).
   Matrix Rows() const;
 
-  /// Normalised MTS over `features` (resource features only), bit-identical
-  /// to BuildMts over Rows(). O(window · features).
-  Result<Matrix> Mts(const std::vector<size_t>& features) const;
-
-  /// Cumulative histogram fingerprint over `features` (resource features
-  /// only — a streaming window carries resource telemetry; plan features
-  /// enter through the refit corpus), bit-identical to BuildHistFp over
-  /// Rows(). O(window + bins per feature).
+  /// BuildHistFp over Rows() at hist_bins(), for `features` (resource
+  /// features only — a streaming window carries resource telemetry; plan
+  /// features enter through the refit corpus). O(window · features).
   Result<Matrix> HistFp(const std::vector<size_t>& features) const;
-
-  /// Welford running moments of catalog resource feature `f` over the raw
-  /// (unnormalised) window values.
-  const RunningMoments& moments(size_t feature) const {
-    WPRED_CHECK_LT(feature, moments_.size());
-    return moments_[feature];
-  }
 
  private:
   size_t capacity_ = 0;
@@ -123,14 +66,8 @@ class SlidingWindow {
   size_t head_ = 0;    // next slot to write
   size_t size_ = 0;
   uint64_t pushed_ = 0;
-
-  // counts_[f][b]: window samples of resource feature f whose normalised
-  // value falls in histogram bin b. Incremented on push, decremented on
-  // evict — the exact counts a batch histogram over Rows() would produce.
-  std::vector<std::vector<uint32_t>> counts_;
-  std::vector<RunningMoments> moments_;
 };
 
 }  // namespace wpred
 
-#endif  // WPRED_STREAM_WINDOW_H_
+#endif  // WPRED_STREAM_SLIDING_WINDOW_H_

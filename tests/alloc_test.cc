@@ -1,5 +1,5 @@
-// Heap-allocation guards for the simulator's event loop and two model
-// kernels. This file builds into its own test binary (wpred_alloc_tests): it
+// Heap-allocation guards for the simulator's event loop, two model kernels
+// and the streaming window's Push. This file builds into its own test binary (wpred_alloc_tests): it
 // replaces the global allocation functions with counting ones, and keeping
 // that replacement out of wpred_tests leaves the sanitizer's own new/delete
 // checks (mismatched new[]/delete, wrong sized delete) on for the rest of
@@ -19,6 +19,8 @@
 #include "sim/engine.h"
 #include "sim/hardware.h"
 #include "sim/workload_spec.h"
+#include "stream/window.h"
+#include "telemetry/feature_catalog.h"
 
 namespace wpred {
 
@@ -109,6 +111,25 @@ TEST(SvmRegressorTest, PredictAllocationsDoNotGrowWithSupportVectors) {
     return allocations;
   };
   EXPECT_EQ(predict_allocations(10), predict_allocations(100));
+}
+
+// SlidingWindow::Push overwrites one ring row in place, through the fill and
+// past two wraps.
+TEST(SlidingWindowTest, PushDoesNotAllocate) {
+  NormalizationContext ctx;
+  ctx.min.assign(kNumFeatures, 0.0);
+  ctx.max.assign(kNumFeatures, 1.0);
+  Result<SlidingWindow> window = SlidingWindow::Create(16, ctx);
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  Vector row(kNumResourceFeatures);
+  Rng rng(9);
+  const uint64_t before = HeapAllocations();
+  for (int i = 0; i < 40; ++i) {
+    for (double& v : row) v = rng.Uniform(0.0, 1.0);
+    if (!window->Push(row).ok()) ADD_FAILURE() << "push " << i;
+  }
+  EXPECT_EQ(HeapAllocations() - before, 0u);
+  EXPECT_EQ(window->samples_pushed(), 40u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,10 @@
 #include "core/workbench.h"
 #include "linalg/stats.h"
 #include "obs/metrics.h"
+#include "reference_kernels.h"
 #include "sim/hardware.h"
+#include "similarity/measures.h"
+#include "similarity/representation.h"
 #include "telemetry/faults.h"
 #include "telemetry/io.h"
 #include "telemetry/quality.h"
@@ -703,6 +707,105 @@ TEST_F(QualityTest, ReadsSeeOnlySelectedColumnsHistFp) {
 
 TEST_F(QualityTest, ReadsSeeOnlySelectedColumnsMts) {
   ExpectReadsSeeOnlySelectedColumns(FastMtsConfig(), *corpus_);
+}
+
+// --- a degraded read rescans the references over its effective features -----
+
+// Kills the first selected resource feature of the observation, then checks
+// the degraded reads against an exhaustive test-side scan: the reference
+// corpus gated as Fit gates it, every representation rebuilt over the read's
+// effective features, one MeasureDistance per reference.
+void ExpectDegradedReadsMatchRebuiltScan(const PipelineConfig& config,
+                                         const ExperimentCorpus& corpus) {
+  Pipeline pipeline(config);
+  ASSERT_TRUE(pipeline.Fit(corpus).ok());
+  const std::vector<size_t>& selected = pipeline.selected_features();
+  const auto dead = std::find_if(selected.begin(), selected.end(), [](size_t f) {
+    return f < kNumResourceFeatures;
+  });
+  ASSERT_NE(dead, selected.end()) << "no selected resource feature";
+  const SimConfig sim{.duration_s = 40.0, .sample_period_s = 0.5};
+  Experiment observed = RunOne("TPC-C", MakeCpuSku(2), 8, 9, sim, 555).value();
+  Rng rng(7);
+  ASSERT_TRUE(
+      ApplyFault(FaultSpec::SensorDropout(static_cast<int>(*dead)), observed,
+                 rng)
+          .ok());
+
+  const auto prediction = pipeline.PredictThroughput(observed, 8);
+  ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
+  ASSERT_TRUE(prediction->degraded);
+  const std::vector<size_t>& features = prediction->effective_features;
+
+  const auto gated = GateCorpus(corpus, config.quality, nullptr);
+  ASSERT_TRUE(gated.ok());
+  ASSERT_EQ(gated->size(), pipeline.reference_workloads().size());
+  Experiment repaired = observed;
+  ASSERT_TRUE(RepairExperiment(repaired, config.quality).ok());
+  const NormalizationContext& ctx = pipeline.normalization();
+  const Matrix query =
+      BuildRepresentation(config.representation, repaired, features, ctx)
+          .value();
+  std::vector<Matrix> rebuilt;
+  std::map<std::string, std::pair<double, size_t>> totals;  // sum, count
+  std::vector<Neighbor> scan;
+  for (size_t i = 0; i < gated->size(); ++i) {
+    rebuilt.push_back(BuildRepresentation(config.representation, (*gated)[i],
+                                          features, ctx)
+                          .value());
+    const double distance =
+        MeasureDistance(config.measure, query, rebuilt.back()).value();
+    auto& [sum, count] = totals[pipeline.reference_workloads()[i]];
+    sum += distance;
+    count += 1;
+    scan.push_back({i, distance});
+  }
+  std::sort(scan.begin(), scan.end(), [](const Neighbor& a, const Neighbor& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.index < b.index;
+  });
+
+  const auto ranked = pipeline.RankWorkloads(observed);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+  ASSERT_EQ(ranked->size(), totals.size());
+  for (const Pipeline::WorkloadDistance& entry : *ranked) {
+    const auto& [sum, count] = totals.at(entry.workload);
+    EXPECT_EQ(std::bit_cast<uint64_t>(entry.mean_distance),
+              std::bit_cast<uint64_t>(sum / static_cast<double>(count)))
+        << entry.workload;
+  }
+  EXPECT_EQ(prediction->reference_workload, ranked->front().workload);
+  EXPECT_EQ(std::bit_cast<uint64_t>(prediction->similarity_distance),
+            std::bit_cast<uint64_t>(ranked->front().mean_distance));
+
+  // k = 3 runs the pruned cascade, k = n the exact scan.
+  for (const size_t k : {size_t{3}, gated->size()}) {
+    SCOPED_TRACE(k);
+    const auto neighbors = pipeline.NearestReferences(observed, k);
+    ASSERT_TRUE(neighbors.ok()) << neighbors.status().ToString();
+    if (config.measure == "Dependent-DTW" ||
+        config.measure == "Independent-DTW") {
+      const auto exhaustive =
+          reference::ExhaustiveTopK(rebuilt, query, config.measure, 0, k);
+      ASSERT_TRUE(exhaustive.ok());
+      EXPECT_EQ(*neighbors, *exhaustive);
+    }
+    EXPECT_EQ(*neighbors,
+              std::vector<Neighbor>(scan.begin(), scan.begin() + k));
+  }
+}
+
+TEST_F(QualityTest, DegradedMtsDtwReadsMatchRebuiltScan) {
+  PipelineConfig config = FastMtsConfig();
+  config.measure = "Dependent-DTW";
+  ExpectDegradedReadsMatchRebuiltScan(config, *corpus_);
+}
+
+TEST_F(QualityTest, DegradedHistFpReadsMatchRebuiltScan) {
+  PipelineConfig config;
+  ASSERT_EQ(config.representation, Representation::kHistFp);
+  ASSERT_EQ(config.measure, "L2,1-Norm");
+  ExpectDegradedReadsMatchRebuiltScan(config, *corpus_);
 }
 
 // A resource matrix with fewer columns than the catalog used to abort the

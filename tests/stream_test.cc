@@ -1,14 +1,12 @@
 // Incremental ingestion (src/stream/, DESIGN.md §13). The load-bearing
-// claim everywhere is EQUIVALENCE: the incremental paths — sliding-window
-// representations, online change-point detection, corpus/envelope appends,
-// warm-started refits — must reproduce what a from-scratch batch rebuild
-// would compute, bit-identically where documented and within a stated
-// tolerance otherwise, at any thread count and schedule. The Stream* suites
-// also run under TSan in CI.
+// claim everywhere is EQUIVALENCE: the incremental paths — the sliding
+// window's rows, online change-point detection, corpus/envelope appends, the
+// pipeline refit that keeps its selection — must reproduce what a
+// from-scratch batch rebuild would compute, bit-identically, at any thread
+// count and schedule. The Stream* suites also run under TSan in CI.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -18,9 +16,6 @@
 
 #include "common/rng.h"
 #include "core/workbench.h"
-#include "linalg/stats.h"
-#include "ml/lasso.h"
-#include "ml/random_forest.h"
 #include "serve/service.h"
 #include "serve/stream_refit.h"
 #include "sim/hardware.h"
@@ -54,24 +49,29 @@ Experiment WindowAsExperiment(const SlidingWindow& window) {
   return e;
 }
 
-// --- sliding window: incremental == batch -----------------------------------
+// --- sliding window: the ring holds the last pushed rows --------------------
 
 TEST(StreamWindowTest, MtsMatchesBatchBuildAtEveryFillLevel) {
-  const std::vector<size_t> features = {0, 2, 5};
-  const NormalizationContext ctx = UnitContext();
-  Result<SlidingWindow> window = SlidingWindow::Create(16, ctx);
+  constexpr size_t kCapacity = 16;
+  Result<SlidingWindow> window = SlidingWindow::Create(kCapacity, UnitContext());
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   Rng rng(41);
-  // 40 pushes cross the partial-fill, exactly-full, and many-evictions
-  // states; equivalence must hold at every one of them.
+  std::vector<Vector> pushed;
+  // 40 pushes cross the partial-fill and exactly-full states and wrap the
+  // ring twice. At every fill level Rows() is the last min(n, capacity)
+  // pushed rows, oldest first: the series the batch MTS builder reads.
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(window->Push(RandomSample(rng)).ok());
-    const Result<Matrix> incremental = window->Mts(features);
-    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-    const Result<Matrix> batch =
-        BuildMts(WindowAsExperiment(*window), features, ctx);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    EXPECT_EQ(*incremental, *batch) << "push " << i;
+    pushed.push_back(RandomSample(rng));
+    ASSERT_TRUE(window->Push(pushed.back()).ok());
+    const size_t held = std::min(pushed.size(), kCapacity);
+    EXPECT_EQ(window->size(), held);
+    EXPECT_EQ(window->samples_pushed(), pushed.size());
+    const Matrix rows = window->Rows();
+    ASSERT_EQ(rows.rows(), held);
+    for (size_t r = 0; r < held; ++r) {
+      EXPECT_EQ(rows.Row(r), pushed[pushed.size() - held + r])
+          << "push " << i << " row " << r;
+    }
   }
 }
 
@@ -97,7 +97,7 @@ TEST(StreamWindowTest, HistFpMatchesBatchBuildBitIdentically) {
 TEST(StreamWindowTest, UpperEdgeSampleLandsInLastBin) {
   // A value exactly at the feature max normalises to 1.0; floor(1.0 · bins)
   // is the out-of-range bin. The shared HistFpBin clamp must put it in the
-  // last bin on both the batch and incremental paths.
+  // last bin, for the batch builder and the window alike.
   EXPECT_EQ(representation_internal::HistFpBin(1.0, 10), 9);
   EXPECT_EQ(representation_internal::HistFpBin(0.0, 10), 0);
   EXPECT_EQ(representation_internal::HistFpBin(-0.5, 10), 0);
@@ -142,42 +142,6 @@ TEST(StreamWindowTest, UpperEdgeSampleLandsInLastBin) {
   EXPECT_DOUBLE_EQ((*incremental)(9, 0), 1.0);
 }
 
-TEST(StreamWindowTest, RunningMomentsTrackBatchRecomputeThroughEvictions) {
-  const NormalizationContext ctx = UnitContext();
-  Result<SlidingWindow> window = SlidingWindow::Create(32, ctx);
-  ASSERT_TRUE(window.ok());
-  Rng rng(43);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(window->Push(RandomSample(rng)).ok());
-  }
-  const Matrix rows = window->Rows();
-  for (size_t f = 0; f < kNumResourceFeatures; ++f) {
-    const Vector column = rows.Col(f);
-    const RunningMoments& moments = window->moments(f);
-    EXPECT_EQ(moments.count(), column.size());
-    // Downdated moments are the documented approximate corner of the
-    // window: ~1e-9 relative against a fresh recompute.
-    EXPECT_NEAR(moments.mean(), Mean(column), 1e-9 * std::abs(Mean(column)) + 1e-12);
-    EXPECT_NEAR(moments.variance(), Variance(column), 1e-9);
-  }
-}
-
-TEST(StreamWindowTest, RunningMomentsPopInvertsPush) {
-  RunningMoments moments;
-  moments.Push(2.0);
-  moments.Push(4.0);
-  moments.Push(9.0);
-  moments.Pop(4.0);
-  EXPECT_EQ(moments.count(), 2u);
-  EXPECT_NEAR(moments.mean(), 5.5, 1e-12);
-  EXPECT_NEAR(moments.variance(), 12.25, 1e-9);
-  moments.Pop(2.0);
-  moments.Pop(9.0);
-  EXPECT_EQ(moments.count(), 0u);
-  EXPECT_DOUBLE_EQ(moments.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(moments.variance(), 0.0);
-}
-
 TEST(StreamWindowTest, RejectsBadInputs) {
   EXPECT_FALSE(SlidingWindow::Create(1, UnitContext()).ok());
   EXPECT_FALSE(SlidingWindow::Create(8, UnitContext(), /*hist_bins=*/1).ok());
@@ -192,9 +156,11 @@ TEST(StreamWindowTest, RejectsBadInputs) {
   Vector bad(kNumResourceFeatures, 0.5);
   bad[2] = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(window->Push(bad).ok());
-  EXPECT_FALSE(window->Mts({kNumResourceFeatures}).ok());  // plan feature
-  EXPECT_FALSE(window->HistFp({}).ok());
-  EXPECT_FALSE(window->Mts({0}).ok());  // still empty
+  EXPECT_EQ(window->HistFp({kNumResourceFeatures}).status().code(),
+            StatusCode::kInvalidArgument);  // plan feature
+  EXPECT_EQ(window->HistFp({}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(window->HistFp({0}).status().code(),
+            StatusCode::kFailedPrecondition);  // still empty
 }
 
 // --- online BCPD: online == batch, boundary segments ------------------------
@@ -438,103 +404,6 @@ TEST(StreamAppendTest, AppendValidatesTraces) {
   EXPECT_EQ(engine->corpus().size(), 4u);  // failed appends change nothing
 }
 
-// --- warm-started refits ----------------------------------------------------
-
-TEST(StreamWarmRefitTest, WarmLassoAgreesWithColdWithinToleranceAndSavesWork) {
-  Rng rng(51);
-  const size_t n = 120, p = 6;
-  Matrix x(n, p);
-  for (double& v : x.data()) v = rng.Gaussian(0.0, 1.0);
-  const Vector w = {1.5, -2.0, 0.0, 0.5, 0.0, 3.0};
-  Vector y(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < p; ++j) y[i] += x(i, j) * w[j];
-    y[i] += rng.Gaussian(0.0, 0.01);
-  }
-  // Second corpus: the same problem slightly perturbed, as a slid window
-  // would produce.
-  Matrix x2 = x;
-  Vector y2 = y;
-  for (double& v : y2) v += rng.Gaussian(0.0, 0.005);
-
-  constexpr double kTol = 1e-8;
-  ElasticNet cold(0.01, 1.0, /*max_iter=*/1000, kTol);
-  ASSERT_TRUE(cold.Fit(x2, y2).ok());
-  const int cold_sweeps = cold.last_sweeps();
-
-  ElasticNet warm(0.01, 1.0, /*max_iter=*/1000, kTol);
-  warm.set_warm_start(true);
-  ASSERT_TRUE(warm.Fit(x, y).ok());
-  ASSERT_TRUE(warm.Fit(x2, y2).ok());
-  const int warm_sweeps = warm.last_sweeps();
-
-  ASSERT_EQ(warm.coefficients().size(), cold.coefficients().size());
-  for (size_t j = 0; j < p; ++j) {
-    // Documented warm-start tolerance: both starts descend to `tol` per
-    // coordinate, so solutions agree to within a small multiple of it.
-    EXPECT_NEAR(warm.coefficients()[j], cold.coefficients()[j], 100 * kTol)
-        << j;
-  }
-  // The whole point of resuming: strictly fewer sweeps than a cold start.
-  EXPECT_LT(warm_sweeps, cold_sweeps);
-}
-
-TEST(StreamWarmRefitTest, GrownForestIsBitIdenticalToLargerColdFit) {
-  Rng rng(52);
-  const size_t n = 80, p = 4;
-  Matrix x(n, p);
-  for (double& v : x.data()) v = rng.Uniform(0.0, 1.0);
-  Vector y(n);
-  for (size_t i = 0; i < n; ++i) y[i] = x(i, 0) * 2.0 + x(i, 2) + 0.1 * x(i, 3);
-
-  for (const int threads : {1, 4}) {
-    ForestParams grown_params;
-    grown_params.num_trees = 8;
-    grown_params.max_depth = 6;
-    grown_params.num_threads = threads;
-    RandomForestRegressor grown(grown_params);
-    ASSERT_TRUE(grown.Fit(x, y).ok());
-    ASSERT_TRUE(grown.GrowTrees(x, y, 5).ok());
-    EXPECT_EQ(grown.num_trees(), 13);
-
-    ForestParams cold_params = grown_params;
-    cold_params.num_trees = 13;
-    RandomForestRegressor cold(cold_params);
-    ASSERT_TRUE(cold.Fit(x, y).ok());
-
-    // Tree t's RNG streams depend only on t, so the grown forest is the
-    // cold forest: identical predictions and importances, bit for bit.
-    for (size_t i = 0; i < n; ++i) {
-      const auto a = grown.Predict(x.Row(i));
-      const auto b = cold.Predict(x.Row(i));
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(*a, *b) << "row " << i << " threads " << threads;
-    }
-    const auto grown_imp = grown.FeatureImportances();
-    const auto cold_imp = cold.FeatureImportances();
-    ASSERT_TRUE(grown_imp.ok());
-    ASSERT_TRUE(cold_imp.ok());
-    EXPECT_EQ(*grown_imp, *cold_imp);
-  }
-}
-
-TEST(StreamWarmRefitTest, GrowTreesValidates) {
-  RandomForestRegressor forest;
-  Matrix x(10, 2);
-  Vector y(10, 1.0);
-  EXPECT_FALSE(forest.GrowTrees(x, y, 2).ok());  // not fitted yet
-  ForestParams params;
-  params.num_trees = 2;
-  RandomForestRegressor fitted(params);
-  Rng rng(53);
-  for (double& v : x.data()) v = rng.Uniform(0.0, 1.0);
-  ASSERT_TRUE(fitted.Fit(x, y).ok());
-  EXPECT_FALSE(fitted.GrowTrees(Matrix(10, 3), y, 2).ok());  // arity change
-  EXPECT_FALSE(fitted.GrowTrees(x, y, 0).ok());
-  EXPECT_EQ(fitted.num_trees(), 2);
-}
-
 // --- ingest end-to-end ------------------------------------------------------
 
 class StreamIngestTest : public ::testing::Test {
@@ -596,23 +465,19 @@ TEST_F(StreamIngestTest, CreateValidatesInputs) {
           .ok());
   EXPECT_TRUE(
       IncrementalIngest::Create(FastIngest(), {0, 1}, ctx, prototype).ok());
-}
-
-TEST_F(StreamIngestTest, WindowEnvParsingIsStrict) {
-  using stream_internal::ParseWindowEnv;
-  auto unset = ParseWindowEnv(nullptr);
-  ASSERT_TRUE(unset.ok());
-  EXPECT_FALSE(unset->has_value());
-  auto empty = ParseWindowEnv("");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_FALSE(empty->has_value());
-  auto good = ParseWindowEnv("96");
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(good->value(), 96u);
-  EXPECT_FALSE(ParseWindowEnv("abc").ok());
-  EXPECT_FALSE(ParseWindowEnv("12x").ok());
-  EXPECT_FALSE(ParseWindowEnv("-4").ok());
-  EXPECT_FALSE(ParseWindowEnv("1").ok());  // below the 2-sample minimum
+  // The window needs two samples; a default config gets the 240-sample one.
+  for (const size_t samples : {size_t{0}, size_t{1}}) {
+    IngestConfig config = FastIngest();
+    config.window_samples = samples;
+    EXPECT_FALSE(
+        IncrementalIngest::Create(config, {0, 1}, ctx, prototype).ok())
+        << samples;
+  }
+  const Result<IncrementalIngest> defaults =
+      IncrementalIngest::Create(IngestConfig{}, {0, 1}, ctx, prototype);
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  EXPECT_EQ(defaults->window().capacity(), kDefaultStreamWindowSamples);
+  EXPECT_EQ(kDefaultStreamWindowSamples, 240u);
 }
 
 TEST_F(StreamIngestTest, RegimeShiftTriggersDetectionSegmentsAndRefit) {
@@ -667,8 +532,8 @@ TEST_F(StreamIngestTest, RegimeShiftTriggersDetectionSegmentsAndRefit) {
   }
   EXPECT_EQ(cursor, ingest->window().size());
 
-  // After the shift and the refits, the ingest window's representations
-  // still equal the batch builders over the materialised window.
+  // After the shift and the refits, the ingest window's Hist-FP still
+  // equals the batch builder over the materialised window.
   const std::vector<size_t> features = {0, 1, 2};
   const Experiment window_now = ingest->WindowExperiment();
   const Result<Matrix> window_hist = ingest->window().HistFp(features);
@@ -677,11 +542,6 @@ TEST_F(StreamIngestTest, RegimeShiftTriggersDetectionSegmentsAndRefit) {
   ASSERT_TRUE(window_hist.ok()) << window_hist.status().ToString();
   ASSERT_TRUE(batch_hist.ok()) << batch_hist.status().ToString();
   EXPECT_EQ(*window_hist, *batch_hist);
-  const Result<Matrix> window_mts = ingest->window().Mts(features);
-  const Result<Matrix> batch_mts = BuildMts(window_now, features, UnitContext());
-  ASSERT_TRUE(window_mts.ok()) << window_mts.status().ToString();
-  ASSERT_TRUE(batch_mts.ok()) << batch_mts.status().ToString();
-  EXPECT_EQ(*window_mts, *batch_mts);
 }
 
 TEST_F(StreamIngestTest, OldChangePointsSlideOutOfTheWindow) {
