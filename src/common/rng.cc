@@ -43,13 +43,6 @@ double Rng::Exponential(double mean) {
   return dist(engine_);
 }
 
-int64_t Rng::Poisson(double mean) {
-  WPRED_CHECK_GE(mean, 0.0);
-  if (mean == 0.0) return 0;
-  std::poisson_distribution<int64_t> dist(mean);
-  return dist(engine_);
-}
-
 bool Rng::Bernoulli(double p) {
   WPRED_CHECK_GE(p, 0.0);
   WPRED_CHECK_LE(p, 1.0);

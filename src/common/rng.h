@@ -34,9 +34,6 @@ class Rng {
   /// Exponential with the given mean (not rate). mean > 0.
   double Exponential(double mean);
 
-  /// Poisson-distributed count with the given mean >= 0.
-  int64_t Poisson(double mean);
-
   /// Bernoulli trial with success probability p in [0, 1].
   bool Bernoulli(double p);
 

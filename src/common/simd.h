@@ -17,11 +17,11 @@
 //
 // Two kernel classes with different bit-level contracts:
 //
-//  - Elementwise kernels (PairMin, accumulating a squared-difference cost
-//    row): each output element is one fixed expression of its inputs, so
-//    the result is bit-identical however the loop is scheduled. Exact DTW
-//    distances are built only from these (plus exact min), which is why
-//    the wavefront DTW equals the textbook row-order loop bitwise.
+//  - Elementwise kernels (AccumulateAntiDiagCost, RelaxAntiDiag): each
+//    output element is one fixed expression of its inputs, so the result
+//    is bit-identical however the loop is scheduled. Exact DTW distances
+//    are built only from these (plus exact min), which is why the
+//    wavefront DTW equals the textbook row-order loop bitwise.
 //
 //  - Reduction kernels (SquaredL2, Dot, EnvelopeGapSq, MinValue/MaxValue):
 //    each sums into kLanes independent accumulators and reduces them in one
@@ -105,28 +105,13 @@ inline double EnvelopeGapSq(const double* v, const double* lo,
          tail;
 }
 
-/// out[i] = min(a[i], b[i]). Elementwise. `out` must not alias a future
-/// read of `a`/`b` at a lower index (in-place out == a is fine).
-inline void PairMin(const double* a, const double* b, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = std::min(a[i], b[i]);
-}
-
-/// cost[i] += (a_val − b[i])². Elementwise; the accumulation order over
-/// successive calls (one per feature) is the caller's, so repeated
-/// application reproduces the sequential per-cell feature sum bit-exactly.
-inline void AccumulateRowCost(double a_val, const double* b, double* cost,
-                              size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a_val - b[i];
-    cost[i] += d * d;
-  }
-}
-
 /// cost[t] += (a[t] − b_rev[−t])² — the anti-diagonal cost fill: `a` walks
 /// forward while `b_rev` walks BACKWARD from its start, which is how cell
 /// (i, j) coordinates move along a DTW anti-diagonal (i+j constant).
 /// Elementwise; compilers vectorize the reversed stream with permuted
-/// loads. Same per-call accumulation-order contract as AccumulateRowCost.
+/// loads. The accumulation order over successive calls (one per feature) is
+/// the caller's, so repeated application reproduces the sequential per-cell
+/// feature sum bit-exactly.
 inline void AccumulateAntiDiagCost(const double* a, const double* b_rev,
                                    double* cost, size_t n) {
   for (size_t t = 0; t < n; ++t) {

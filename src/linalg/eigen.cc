@@ -90,43 +90,4 @@ Result<EigenDecomposition> JacobiEigen(const Matrix& a, int max_sweeps,
   return Status::NumericalError("Jacobi sweeps exhausted without convergence");
 }
 
-Result<Svd> ThinSvd(const Matrix& a, double rank_tol) {
-  if (a.rows() == 0 || a.cols() == 0) {
-    return Status::InvalidArgument("empty matrix");
-  }
-  // Gram matrix AᵀA (p×p), eigendecompose.
-  const Matrix gram = a.Transposed() * a;
-  WPRED_ASSIGN_OR_RETURN(EigenDecomposition eig, JacobiEigen(gram));
-
-  double max_sv = 0.0;
-  for (double lambda : eig.values) {
-    if (lambda > 0.0) max_sv = std::max(max_sv, std::sqrt(lambda));
-  }
-  Svd out;
-  std::vector<size_t> kept;
-  for (size_t j = 0; j < eig.values.size(); ++j) {
-    const double sv = eig.values[j] > 0.0 ? std::sqrt(eig.values[j]) : 0.0;
-    if (sv > rank_tol * std::max(max_sv, 1e-300)) {
-      kept.push_back(j);
-      out.singular_values.push_back(sv);
-    }
-  }
-  if (kept.empty()) return Status::NumericalError("zero matrix has no thin SVD");
-
-  out.v = Matrix(a.cols(), kept.size());
-  for (size_t jj = 0; jj < kept.size(); ++jj) {
-    for (size_t i = 0; i < a.cols(); ++i) {
-      out.v(i, jj) = eig.vectors(i, kept[jj]);
-    }
-  }
-  // U = A V diag(1/S).
-  out.u = a * out.v;
-  for (size_t r = 0; r < out.u.rows(); ++r) {
-    for (size_t jj = 0; jj < kept.size(); ++jj) {
-      out.u(r, jj) /= out.singular_values[jj];
-    }
-  }
-  return out;
-}
-
 }  // namespace wpred

@@ -21,17 +21,6 @@ struct EigenDecomposition {
 Result<EigenDecomposition> JacobiEigen(const Matrix& a, int max_sweeps = 64,
                                        double tol = 1e-12);
 
-/// Thin singular value decomposition A = U diag(S) Vᵀ computed via the
-/// eigendecomposition of AᵀA (adequate for n >= p, p small — wpred's
-/// observation matrices). Singular values descending; U is n×r, V is p×r
-/// with r = min(rank, p); values below `rank_tol`·max(S) are dropped.
-struct Svd {
-  Matrix u;
-  Vector singular_values;
-  Matrix v;
-};
-Result<Svd> ThinSvd(const Matrix& a, double rank_tol = 1e-10);
-
 }  // namespace wpred
 
 #endif  // WPRED_LINALG_EIGEN_H_

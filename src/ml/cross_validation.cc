@@ -1,11 +1,5 @@
 #include "ml/cross_validation.h"
 
-#include <chrono>
-
-#include "common/parallel.h"
-#include "linalg/stats.h"
-#include "obs/metrics.h"
-
 namespace wpred {
 
 Result<std::vector<FoldSplit>> KFoldSplits(size_t n, int k, Rng& rng) {
@@ -26,69 +20,6 @@ Result<std::vector<FoldSplit>> KFoldSplits(size_t n, int k, Rng& rng) {
     }
   }
   return folds;
-}
-
-namespace {
-
-// Per-fold outputs land in their own slot; reduction happens after the join
-// in fold order so the result is independent of scheduling.
-struct FoldOutcome {
-  double score = 0.0;
-  double fit_seconds = 0.0;
-};
-
-}  // namespace
-
-Result<CrossValResult> CrossValidateRegressor(
-    const std::function<std::unique_ptr<Regressor>()>& factory,
-    const Matrix& x, const Vector& y, int k, const RegressionMetric& metric,
-    Rng& rng, int num_threads) {
-  if (x.rows() != y.size()) {
-    return Status::InvalidArgument("row count mismatch between x and y");
-  }
-  WPRED_ASSIGN_OR_RETURN(std::vector<FoldSplit> folds,
-                         KFoldSplits(x.rows(), k, rng));
-  WPRED_ASSIGN_OR_RETURN(
-      std::vector<FoldOutcome> outcomes,
-      ParallelMap<FoldOutcome>(
-          folds.size(), num_threads,
-          [&](size_t f) -> Result<FoldOutcome> {
-            const FoldSplit& fold = folds[f];
-            const Matrix x_train = x.SelectRows(fold.train);
-            const Matrix x_test = x.SelectRows(fold.test);
-            Vector y_train(fold.train.size()), y_test(fold.test.size());
-            for (size_t i = 0; i < fold.train.size(); ++i) {
-              y_train[i] = y[fold.train[i]];
-            }
-            for (size_t i = 0; i < fold.test.size(); ++i) {
-              y_test[i] = y[fold.test[i]];
-            }
-
-            std::unique_ptr<Regressor> model = factory();
-            const auto t0 = std::chrono::steady_clock::now();
-            WPRED_RETURN_IF_ERROR(model->Fit(x_train, y_train));
-            FoldOutcome outcome;
-            outcome.fit_seconds =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-            WPRED_ASSIGN_OR_RETURN(Vector y_pred, model->PredictBatch(x_test));
-            outcome.score = metric(y_test, y_pred);
-            // Recorded from whichever pool worker ran the fold — the
-            // registry aggregates across threads.
-            WPRED_COUNT_ADD("ml.cv.folds", 1);
-            WPRED_HIST_RECORD("ml.cv.fold_fit_seconds", outcome.fit_seconds);
-            return outcome;
-          }));
-  CrossValResult result;
-  double fit_seconds = 0.0;
-  for (const FoldOutcome& outcome : outcomes) {
-    result.fold_scores.push_back(outcome.score);
-    fit_seconds += outcome.fit_seconds;
-  }
-  result.mean_score = Mean(result.fold_scores);
-  result.mean_fit_seconds = fit_seconds / static_cast<double>(folds.size());
-  return result;
 }
 
 }  // namespace wpred

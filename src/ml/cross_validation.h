@@ -1,13 +1,10 @@
 #ifndef WPRED_ML_CROSS_VALIDATION_H_
 #define WPRED_ML_CROSS_VALIDATION_H_
 
-#include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "ml/model.h"
+#include "common/status.h"
 
 namespace wpred {
 
@@ -20,31 +17,6 @@ struct FoldSplit {
 /// Shuffled k-fold splits of [0, n). Every index appears in exactly one test
 /// fold; fold sizes differ by at most one. Requires 2 <= k <= n.
 Result<std::vector<FoldSplit>> KFoldSplits(size_t n, int k, Rng& rng);
-
-/// Regression metric over (y_true, y_pred).
-using RegressionMetric = std::function<double(const Vector&, const Vector&)>;
-
-/// Per-fold score plus mean training wall time.
-struct CrossValResult {
-  Vector fold_scores;
-  double mean_score = 0.0;
-  double mean_fit_seconds = 0.0;
-};
-
-/// k-fold cross-validation of a regression model built per fold by
-/// `factory`. The paper evaluates every scaling strategy this way (5-fold,
-/// NRMSE; Table 6).
-///
-/// Folds are evaluated on the shared pool (common/parallel.h): the split
-/// consumes `rng` before any parallel work, each fold fits its own model
-/// into its own slot, and scores reduce in fold order, so results are
-/// bit-identical at any thread count. `factory` and `metric` must be safe to
-/// invoke concurrently (stateless lambdas are). `num_threads < 1` means the
-/// process default (WPRED_THREADS); 1 forces the serial path.
-Result<CrossValResult> CrossValidateRegressor(
-    const std::function<std::unique_ptr<Regressor>()>& factory,
-    const Matrix& x, const Vector& y, int k, const RegressionMetric& metric,
-    Rng& rng, int num_threads = 0);
 
 }  // namespace wpred
 

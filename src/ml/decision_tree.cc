@@ -259,26 +259,6 @@ Status ValidateProblem(const Matrix& x, size_t y_size) {
 
 }  // namespace
 
-Status DecisionTreeRegressor::Fit(const Matrix& x, const Vector& y) {
-  WPRED_RETURN_IF_ERROR(ValidateProblem(x, y.size()));
-  tree_ = internal::BuildTree(x, y, /*classification=*/false, 0, params_,
-                              AllRows(x.rows()));
-  return Status::OK();
-}
-
-Result<double> DecisionTreeRegressor::Predict(const Vector& row) const {
-  if (!fitted()) return Status::FailedPrecondition("model not fitted");
-  if (row.size() != tree_.num_features) {
-    return Status::InvalidArgument("feature arity mismatch");
-  }
-  return tree_.Evaluate(row);
-}
-
-Result<Vector> DecisionTreeRegressor::FeatureImportances() const {
-  if (!fitted()) return Status::FailedPrecondition("model not fitted");
-  return tree_.importances;
-}
-
 Status DecisionTreeClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
   WPRED_RETURN_IF_ERROR(ValidateProblem(x, y.size()));
   int max_label = 0;

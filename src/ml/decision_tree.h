@@ -46,21 +46,6 @@ FittedTree BuildTree(const Matrix& x, const Vector& y, bool classification,
 
 }  // namespace internal
 
-/// CART regression tree (variance-reduction splits).
-class DecisionTreeRegressor : public Regressor {
- public:
-  explicit DecisionTreeRegressor(TreeParams params = {}) : params_(params) {}
-
-  Status Fit(const Matrix& x, const Vector& y) override;
-  Result<double> Predict(const Vector& row) const override;
-  bool fitted() const override { return !tree_.nodes.empty(); }
-  Result<Vector> FeatureImportances() const override;
-
- private:
-  TreeParams params_;
-  internal::FittedTree tree_;
-};
-
 /// CART classification tree (Gini splits, majority-vote leaves).
 class DecisionTreeClassifier : public Classifier {
  public:

@@ -45,29 +45,4 @@ Result<Vector> LinearRegression::FeatureImportances() const {
   return importances;
 }
 
-Matrix PolynomialExpand(const Matrix& x, int degree) {
-  WPRED_CHECK_GE(degree, 1);
-  Matrix out(x.rows(), x.cols() * static_cast<size_t>(degree));
-  for (size_t r = 0; r < x.rows(); ++r) {
-    for (size_t c = 0; c < x.cols(); ++c) {
-      double power = 1.0;
-      for (int d = 0; d < degree; ++d) {
-        power *= x(r, c);
-        out(r, c + static_cast<size_t>(d) * x.cols()) = power;
-      }
-    }
-  }
-  return out;
-}
-
-Status PolynomialRegression::Fit(const Matrix& x, const Vector& y) {
-  if (degree_ < 1) return Status::InvalidArgument("degree must be >= 1");
-  return linear_.Fit(PolynomialExpand(x, degree_), y);
-}
-
-Result<double> PolynomialRegression::Predict(const Vector& row) const {
-  const Matrix expanded = PolynomialExpand(Matrix::FromRows({row}), degree_);
-  return linear_.Predict(expanded.Row(0));
-}
-
 }  // namespace wpred

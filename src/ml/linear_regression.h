@@ -27,25 +27,6 @@ class LinearRegression : public Regressor {
   bool fitted_ = false;
 };
 
-/// Expands a feature matrix with polynomial powers of each column
-/// (degree >= 1; no cross terms): [x, x², ..., x^degree].
-Matrix PolynomialExpand(const Matrix& x, int degree);
-
-/// Linear regression on a polynomial expansion of the inputs.
-class PolynomialRegression : public Regressor {
- public:
-  explicit PolynomialRegression(int degree = 2, double ridge = 0.0)
-      : degree_(degree), linear_(ridge) {}
-
-  Status Fit(const Matrix& x, const Vector& y) override;
-  Result<double> Predict(const Vector& row) const override;
-  bool fitted() const override { return linear_.fitted(); }
-
- private:
-  int degree_;
-  LinearRegression linear_;
-};
-
 }  // namespace wpred
 
 #endif  // WPRED_ML_LINEAR_REGRESSION_H_

@@ -76,14 +76,4 @@ double Accuracy(const std::vector<int>& y_true,
   return static_cast<double>(hits) / static_cast<double>(y_true.size());
 }
 
-double MeanAbsoluteError(const Vector& y_true, const Vector& y_pred) {
-  WPRED_CHECK_EQ(y_true.size(), y_pred.size());
-  WPRED_CHECK(!y_true.empty());
-  double acc = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    acc += std::fabs(y_true[i] - y_pred[i]);
-  }
-  return acc / static_cast<double>(y_true.size());
-}
-
 }  // namespace wpred

@@ -43,9 +43,6 @@ double R2(const Vector& y_true, const Vector& y_pred);
 /// Fraction of matching labels.
 double Accuracy(const std::vector<int>& y_true, const std::vector<int>& y_pred);
 
-/// Mean absolute error.
-double MeanAbsoluteError(const Vector& y_true, const Vector& y_pred);
-
 }  // namespace wpred
 
 #endif  // WPRED_ML_METRICS_H_

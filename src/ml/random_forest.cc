@@ -41,63 +41,7 @@ Vector MeanImportances(const std::vector<internal::FittedTree>& trees,
   return importances;
 }
 
-// Fits regression trees [0, count) into preallocated slots. Each tree forks
-// two independent streams off the forest seed: tag 2t for the bootstrap row
-// draws, tag 2t+1 for the tree's internal feature subsampling. (Sharing one
-// stream for both replays identical draws and correlates bagging with split
-// selection.) Tags depend only on the tree index t — never on the thread or
-// sibling trees — so parallel fitting into preallocated slots stays
-// bit-identical to serial.
-Status FitRegressionTreeRange(const Matrix& x, const Vector& y,
-                              const ForestParams& params, size_t count,
-                              std::vector<internal::FittedTree>& trees) {
-  TreeParams tree_params;
-  tree_params.max_depth = params.max_depth;
-  tree_params.min_samples_leaf = params.min_samples_leaf;
-  tree_params.max_features = params.max_features > 0
-                                 ? params.max_features
-                                 : std::max<size_t>(1, x.cols() / 3);
-
-  const Rng rng(params.seed);
-  return ParallelFor(count, params.num_threads, [&](size_t t) -> Status {
-    TreeParams tp = tree_params;
-    Rng bootstrap_rng = rng.Fork(2 * t);
-    tp.seed = rng.Fork(2 * t + 1).seed();
-    const std::vector<size_t> sample = BootstrapSample(x.rows(), bootstrap_rng);
-    trees[t] =
-        internal::BuildTree(x, y, /*classification=*/false, 0, tp, sample);
-    WPRED_COUNT_ADD("ml.rf.trees_fit", 1);
-    return Status::OK();
-  });
-}
-
 }  // namespace
-
-Status RandomForestRegressor::Fit(const Matrix& x, const Vector& y) {
-  WPRED_RETURN_IF_ERROR(ValidateProblem(x, y.size(), params_.num_trees));
-  trees_.clear();
-  num_features_ = x.cols();
-  trees_.resize(static_cast<size_t>(params_.num_trees));
-  WPRED_RETURN_IF_ERROR(FitRegressionTreeRange(
-      x, y, params_, static_cast<size_t>(params_.num_trees), trees_));
-  WPRED_COUNT_ADD("ml.rf.fits", 1);
-  return Status::OK();
-}
-
-Result<double> RandomForestRegressor::Predict(const Vector& row) const {
-  if (!fitted()) return Status::FailedPrecondition("model not fitted");
-  if (row.size() != num_features_) {
-    return Status::InvalidArgument("feature arity mismatch");
-  }
-  double acc = 0.0;
-  for (const auto& tree : trees_) acc += tree.Evaluate(row);
-  return acc / static_cast<double>(trees_.size());
-}
-
-Result<Vector> RandomForestRegressor::FeatureImportances() const {
-  if (!fitted()) return Status::FailedPrecondition("model not fitted");
-  return MeanImportances(trees_, num_features_);
-}
 
 Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
   WPRED_RETURN_IF_ERROR(ValidateProblem(x, y.size(), params_.num_trees));
@@ -121,7 +65,12 @@ Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
                                     static_cast<double>(x.cols()))));
 
   const Vector y_double(y.begin(), y.end());
-  // Same two-stream forking discipline as the regressor (see above).
+  // Each tree forks two independent streams off the forest seed: tag 2t for
+  // the bootstrap row draws, tag 2t+1 for the tree's internal feature
+  // subsampling. (Sharing one stream for both replays identical draws and
+  // correlates bagging with split selection.) Tags depend only on the tree
+  // index t — never on the thread or sibling trees — so parallel fitting
+  // into preallocated slots stays bit-identical to serial.
   const Rng rng(params_.seed);
   trees_.resize(static_cast<size_t>(params_.num_trees));
   WPRED_RETURN_IF_ERROR(ParallelFor(

@@ -13,8 +13,8 @@ struct ForestParams {
   int num_trees = 100;
   int max_depth = 12;
   size_t min_samples_leaf = 1;
-  /// Features per split; 0 means sqrt(p) for classification, p/3 for
-  /// regression (the usual defaults).
+  /// Features per split; 0 means sqrt(p) (the usual classification
+  /// default).
   size_t max_features = 0;
   uint64_t seed = 17;
   /// Worker threads for per-tree fitting; < 1 means the process default
@@ -24,28 +24,9 @@ struct ForestParams {
   int num_threads = 0;
 };
 
-/// Bagged CART regression forest with feature subsampling. Importances are
-/// the mean impurity-decrease importance over trees (the embedded
-/// feature-selection signal in Section 4.1.2).
-class RandomForestRegressor : public Regressor {
- public:
-  explicit RandomForestRegressor(ForestParams params = {}) : params_(params) {}
-
-  Status Fit(const Matrix& x, const Vector& y) override;
-  Result<double> Predict(const Vector& row) const override;
-  bool fitted() const override { return !trees_.empty(); }
-  Result<Vector> FeatureImportances() const override;
-
-  /// Trees in the fitted forest.
-  int num_trees() const { return static_cast<int>(trees_.size()); }
-
- private:
-  ForestParams params_;
-  std::vector<internal::FittedTree> trees_;
-  size_t num_features_ = 0;
-};
-
-/// Bagged CART classification forest (majority vote).
+/// Bagged CART classification forest with feature subsampling (majority
+/// vote). Importances are the mean impurity-decrease importance over trees
+/// (the embedded feature-selection signal in Section 4.1.2).
 class RandomForestClassifier : public Classifier {
  public:
   explicit RandomForestClassifier(ForestParams params = {}) : params_(params) {}

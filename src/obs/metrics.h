@@ -148,20 +148,6 @@ class MetricsRegistry {
       WPRED_GUARDED_BY(mu_);
 };
 
-/// Convenience hooks for cold call sites (one registry lookup per call).
-inline void CounterAdd(const char* name, uint64_t n = 1) {
-  if (!MetricsEnabled()) return;
-  MetricsRegistry::Global().GetCounter(name).Add(n);
-}
-inline void GaugeSet(const char* name, double v) {
-  if (!MetricsEnabled()) return;
-  MetricsRegistry::Global().GetGauge(name).Set(v);
-}
-inline void HistogramRecord(const char* name, double v) {
-  if (!MetricsEnabled()) return;
-  MetricsRegistry::Global().GetHistogram(name).Record(v);
-}
-
 }  // namespace wpred::obs
 
 // Hot-path hooks: disabled => one atomic-bool branch; enabled => one atomic

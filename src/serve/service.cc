@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -14,12 +13,6 @@ namespace wpred::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// Refit backoff: each retry waits twice as long as the last, jittered by
-// ±kJitterFraction from a stream seeded with kJitterSeed.
-constexpr double kBackoffMultiplier = 2.0;
-constexpr double kJitterFraction = 0.2;
-constexpr uint64_t kJitterSeed = 0x5e9e5;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -48,20 +41,8 @@ class InFlightGuard {
 
 }  // namespace
 
-std::string_view ServingStateName(ServingState state) {
-  switch (state) {
-    case ServingState::kCold:
-      return "cold";
-    case ServingState::kServing:
-      return "serving";
-    case ServingState::kDegraded:
-      return "degraded";
-  }
-  return "unknown";
-}
-
 PredictionService::PredictionService(ServiceConfig config)
-    : config_(std::move(config)), jitter_rng_(kJitterSeed) {
+    : config_(std::move(config)) {
   supervisor_ = std::thread([this] { SupervisorLoop(); });
 }
 
@@ -131,8 +112,7 @@ Status PredictionService::CheckAdmission() const {
 }
 
 Result<Pipeline::Prediction> PredictionService::Predict(
-    const Experiment& observed, int target_cpus,
-    const RequestOptions& opts) const {
+    const Experiment& observed, int target_cpus) const {
   const auto start = Clock::now();
   WPRED_COUNT_ADD("serve.predict.calls", 1);
   InFlightGuard admitted(in_flight_);
@@ -147,26 +127,18 @@ Result<Pipeline::Prediction> PredictionService::Predict(
   Result<Pipeline::Prediction> result =
       snapshot->pipeline->PredictThroughput(observed, target_cpus);
 
-  const double elapsed = SecondsSince(start);
-  WPRED_HIST_RECORD("serve.predict.latency_s", elapsed);
+  WPRED_HIST_RECORD("serve.predict.latency_s", SecondsSince(start));
   const int64_t fitted_ns = published_at_ns_.load(std::memory_order_relaxed);
   if (fitted_ns != 0) {
     WPRED_HIST_RECORD("serve.read.staleness_s",
                       static_cast<double>(NowNs() - fitted_ns) * 1e-9);
   }
   if (!result.ok()) WPRED_COUNT_ADD("serve.predict.errors", 1);
-  if (opts.deadline_s > 0.0 && elapsed > opts.deadline_s) {
-    WPRED_COUNT_ADD("serve.predict.deadline_exceeded", 1);
-    return Status::DeadlineExceeded(
-        StrFormat("prediction finished after %.3fs, over the caller's %.3fs "
-                  "deadline",
-                  elapsed, opts.deadline_s));
-  }
   return result;
 }
 
 Result<std::vector<Neighbor>> PredictionService::NearestReferences(
-    const Experiment& observed, size_t k, const RequestOptions& opts) const {
+    const Experiment& observed, size_t k) const {
   const auto start = Clock::now();
   WPRED_COUNT_ADD("serve.query.calls", 1);
   InFlightGuard admitted(in_flight_);
@@ -179,22 +151,12 @@ Result<std::vector<Neighbor>> PredictionService::NearestReferences(
   }
   Result<std::vector<Neighbor>> result =
       snapshot->pipeline->NearestReferences(observed, k);
-  const double elapsed = SecondsSince(start);
-  WPRED_HIST_RECORD("serve.query.latency_s", elapsed);
-  if (opts.deadline_s > 0.0 && elapsed > opts.deadline_s) {
-    WPRED_COUNT_ADD("serve.query.deadline_exceeded", 1);
-    return Status::DeadlineExceeded(
-        StrFormat("query finished after %.3fs, over the caller's %.3fs "
-                  "deadline",
-                  elapsed, opts.deadline_s));
-  }
+  WPRED_HIST_RECORD("serve.query.latency_s", SecondsSince(start));
   return result;
 }
 
 Result<std::vector<Pipeline::WorkloadDistance>>
-PredictionService::RankWorkloads(const Experiment& observed,
-                                 const RequestOptions& opts) const {
-  const auto start = Clock::now();
+PredictionService::RankWorkloads(const Experiment& observed) const {
   InFlightGuard admitted(in_flight_);
   WPRED_RETURN_IF_ERROR(CheckAdmission());
 
@@ -203,16 +165,7 @@ PredictionService::RankWorkloads(const Experiment& observed,
     return Status::Unavailable(
         "service is cold: no snapshot has been published yet");
   }
-  Result<std::vector<Pipeline::WorkloadDistance>> result =
-      snapshot->pipeline->RankWorkloads(observed);
-  const double elapsed = SecondsSince(start);
-  if (opts.deadline_s > 0.0 && elapsed > opts.deadline_s) {
-    return Status::DeadlineExceeded(
-        StrFormat("ranking finished after %.3fs, over the caller's %.3fs "
-                  "deadline",
-                  elapsed, opts.deadline_s));
-  }
-  return result;
+  return snapshot->pipeline->RankWorkloads(observed);
 }
 
 // --- refit supervision ------------------------------------------------------
@@ -259,42 +212,19 @@ Status PredictionService::RefitNow(const ExperimentCorpus& corpus) {
 Status PredictionService::SupervisedRefit(const ExperimentCorpus& corpus) {
   MutexLock refit_lock(refit_mu_);
   obs::Span span("serve.refit");
-  const auto start = Clock::now();
-  const RetryPolicy& policy = config_.refit;
-  const int max_attempts = std::max(1, policy.max_attempts);
-  double backoff = std::max(0.0, policy.initial_backoff_s);
-  Status last = Status::OK();
-
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    WPRED_COUNT_ADD("serve.refit.attempts", 1);
-    last = AttemptRefit(corpus);
-    if (last.ok()) {
-      WPRED_COUNT_ADD("serve.refit.success", 1);
-      LeaveDegraded();
-      return Status::OK();
-    }
-    refit_failures_.fetch_add(1, std::memory_order_relaxed);
-    WPRED_COUNT_ADD("serve.refit.failures", 1);
-
-    if (attempt == max_attempts) break;
-    // Jittered exponential backoff, but never past the deadline budget.
-    const double jitter =
-        1.0 + kJitterFraction * jitter_rng_.Uniform(-1.0, 1.0);
-    const double sleep_s = std::max(0.0, backoff * jitter);
-    if (policy.deadline_s > 0.0 &&
-        SecondsSince(start) + sleep_s >= policy.deadline_s) {
-      last = Status::DeadlineExceeded(StrFormat(
-          "refit deadline budget (%.1fs) exhausted after %d failed "
-          "attempt(s); last error: %s",
-          policy.deadline_s, attempt, last.ToString().c_str()));
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-    backoff = std::min(policy.max_backoff_s, backoff * kBackoffMultiplier);
+  WPRED_COUNT_ADD("serve.refit.attempts", 1);
+  // One attempt: the fit is deterministic in (config, corpus), so repeating
+  // it on the same corpus cannot succeed where this one failed.
+  const Status status = AttemptRefit(corpus);
+  if (status.ok()) {
+    WPRED_COUNT_ADD("serve.refit.success", 1);
+    LeaveDegraded();
+    return Status::OK();
   }
-
-  EnterDegraded(last);
-  return last;
+  refit_failures_.fetch_add(1, std::memory_order_relaxed);
+  WPRED_COUNT_ADD("serve.refit.failures", 1);
+  EnterDegraded(status);
+  return status;
 }
 
 Status PredictionService::AttemptRefit(const ExperimentCorpus& corpus) {

@@ -12,7 +12,6 @@
 
 #include "common/annotations.h"
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "core/pipeline.h"
 #include "serve/checkpoint.h"
@@ -24,11 +23,12 @@
 //   - Readers (Predict / NearestReferences / RankWorkloads) are wait-free:
 //     they pin the current FittedSnapshot through the left-right SnapshotBox
 //     and run the pipeline's const, serial read path — no mutex anywhere.
-//   - A supervisor thread refits in the background with bounded retries,
-//     exponential backoff + deterministic jitter, and a per-request deadline
-//     budget. A failed or exhausted refit never takes the service down: the
-//     last good snapshot stays live and the service reports *degraded*
-//     (state + reason + obs gauges) until a later refit succeeds.
+//   - A supervisor thread refits in the background, one fit attempt per
+//     request: Pipeline::Fit is a pure function of (config, corpus), so a
+//     retry on the same corpus can only fail again. A failed refit never
+//     takes the service down: the last good snapshot stays live and the
+//     service reports *degraded* (state + reason + obs gauges) until a later
+//     refit succeeds.
 //   - Admission control bounds concurrent in-flight reads; over the limit
 //     the service sheds with Status::Unavailable instead of queueing
 //     unboundedly and starving the refit thread.
@@ -39,20 +39,6 @@
 
 namespace wpred::serve {
 
-/// Supervision knobs for one refit request (attempts share the deadline).
-struct RetryPolicy {
-  /// Maximum fit attempts per refit request; >= 1.
-  int max_attempts = 3;
-  /// Backoff before attempt n+1 is initial * 2^(n-1), capped, then jittered
-  /// by ±20% from a deterministic per-service stream.
-  double initial_backoff_s = 0.5;
-  double max_backoff_s = 8.0;
-  /// Total wall budget for one refit request, attempts + backoffs. A fit
-  /// already running is never pre-empted (Fit is not interruptible); the
-  /// deadline gates whether another attempt or backoff may start.
-  double deadline_s = 300.0;
-};
-
 struct ServiceConfig {
   PipelineConfig pipeline;
   /// Maximum concurrent reads admitted; 0 disables admission control.
@@ -60,7 +46,6 @@ struct ServiceConfig {
   /// Over the limit: true sheds with Status::Unavailable (load cannot
   /// starve the refit thread); false only counts serve.overload.soft.
   bool shed_on_overload = true;
-  RetryPolicy refit;
   /// Checkpoint file, written after every successful publish; empty
   /// disables checkpointing entirely.
   std::string checkpoint_path;
@@ -72,12 +57,10 @@ enum class ServingState {
   kCold,
   /// Serving the newest successfully fitted snapshot.
   kServing,
-  /// Serving a stale snapshot: the most recent refit request failed or ran
-  /// out of retry/deadline budget. Reads still succeed.
+  /// Serving a stale snapshot: the most recent refit request failed. Reads
+  /// still succeed.
   kDegraded,
 };
-
-std::string_view ServingStateName(ServingState state);
 
 class PredictionService {
  public:
@@ -96,46 +79,29 @@ class PredictionService {
   /// missing, corrupt, or unfittable — no corpus to fall back to.
   Status StartFromCheckpoint();
 
-  /// Per-read options.
-  struct RequestOptions {
-    // Constructor instead of a default member initializer: the latter may
-    // not be used in a default argument of the enclosing class (GCC rejects
-    // the incomplete-class context), and every read method defaults opts.
-    RequestOptions() : deadline_s(0.0) {}
-    /// Wall budget for this call; <= 0 means none. The snapshot read is not
-    /// pre-emptible, so a blown budget is reported as DeadlineExceeded on
-    /// completion (server-side deadline checking) rather than by
-    /// interrupting the computation.
-    double deadline_s;
-  };
-
   /// Wait-free read path: admission check (atomics), snapshot pin
   /// (left-right), serial pipeline call. Never takes a lock; never blocks
   /// on a concurrent refit. Errors:
   ///   - Unavailable: shed by admission control, or service never started;
-  ///   - DeadlineExceeded: opts.deadline_s elapsed;
   ///   - anything Pipeline::PredictThroughput reports.
   Result<Pipeline::Prediction> Predict(const Experiment& observed,
-                                       int target_cpus,
-                                       const RequestOptions& opts = RequestOptions()) const;
+                                       int target_cpus) const;
 
-  /// Wait-free top-k similarity (same admission/deadline semantics).
-  Result<std::vector<Neighbor>> NearestReferences(
-      const Experiment& observed, size_t k,
-      const RequestOptions& opts = RequestOptions()) const;
+  /// Wait-free top-k similarity (same admission semantics).
+  Result<std::vector<Neighbor>> NearestReferences(const Experiment& observed,
+                                                  size_t k) const;
 
-  /// Wait-free full similarity ranking (same admission/deadline semantics).
+  /// Wait-free full similarity ranking (same admission semantics).
   Result<std::vector<Pipeline::WorkloadDistance>> RankWorkloads(
-      const Experiment& observed, const RequestOptions& opts = RequestOptions()) const;
+      const Experiment& observed) const;
 
   /// Hands a fresh corpus to the supervisor thread and returns immediately.
   /// Pending requests coalesce: only the newest corpus is fitted.
   void RequestRefit(ExperimentCorpus corpus);
 
-  /// Runs one supervised refit synchronously (same retry/backoff/deadline
-  /// machinery as the background path). Returns the final outcome; on
-  /// failure the previous snapshot remains live and the service is
-  /// degraded.
+  /// Runs one supervised refit synchronously (the same single attempt as
+  /// the background path). Returns its outcome; on failure the previous
+  /// snapshot remains live and the service is degraded.
   Status RefitNow(const ExperimentCorpus& corpus);
 
   /// Blocks until no background refit is queued or running.
@@ -155,7 +121,7 @@ class PredictionService {
   double snapshot_age_s() const;
   /// Reads shed by admission control since construction.
   uint64_t shed_count() const { return shed_.load(std::memory_order_relaxed); }
-  /// Refit attempts that failed since construction.
+  /// Refit requests that failed since construction.
   uint64_t refit_failures() const {
     return refit_failures_.load(std::memory_order_relaxed);
   }
@@ -166,9 +132,9 @@ class PredictionService {
   /// Total seconds spent in the degraded state since construction.
   double degraded_seconds_total() const;
 
-  /// Fault-injection seam: called at the top of every refit attempt; a
-  /// non-OK return fails that attempt before Fit() runs. Benches and tests
-  /// use this (with telemetry/faults-corrupted corpora as the data-level
+  /// Fault-injection seam: called at the top of every refit; a non-OK
+  /// return fails that refit before Fit() runs. Benches and tests use this
+  /// (with telemetry/faults-corrupted corpora as the data-level
   /// counterpart) to drive the service through failure scenarios. Taking
   /// refit_mu_ here means installing a hook waits out any refit already in
   /// flight rather than racing it.
@@ -178,21 +144,17 @@ class PredictionService {
   }
 
  private:
-  struct RefitOutcome {
-    Status status = Status::OK();
-    int attempts = 0;
-  };
-
   /// Admission check, called with this read's in-flight slot already
   /// counted: over the limit either sheds (Unavailable) or records a soft
   /// overload. Add-then-check keeps the limit exact under contention.
   Status CheckAdmission() const;
 
-  /// One supervised refit: retry loop + backoff + deadline. Acquires
-  /// refit_mu_ for its whole duration so SnapshotBox sees a single writer.
+  /// One supervised refit: one fit attempt, then the health transition.
+  /// Acquires refit_mu_ for its whole duration so SnapshotBox sees a single
+  /// writer.
   Status SupervisedRefit(const ExperimentCorpus& corpus)
       WPRED_EXCLUDES(refit_mu_);
-  /// One fit attempt; publishes and checkpoints on success.
+  /// The fit attempt; publishes and checkpoints on success.
   Status AttemptRefit(const ExperimentCorpus& corpus)
       WPRED_REQUIRES(refit_mu_);
   /// Publishes through box_. SnapshotBox::Publish demands a single draining
@@ -233,7 +195,6 @@ class PredictionService {
   // supervisor and RefitNow callers alike) so SnapshotBox sees one writer.
   Mutex refit_mu_;
   std::function<Status()> refit_fault_hook_ WPRED_GUARDED_BY(refit_mu_);
-  Rng jitter_rng_ WPRED_GUARDED_BY(refit_mu_);
 
   // Supervisor thread + its queue (depth 1: newest corpus wins).
   Mutex queue_mu_;

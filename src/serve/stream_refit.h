@@ -19,7 +19,8 @@ namespace wpred::serve {
 /// Wires `ingest`'s refit sink to `service.RequestRefit`: every debounced
 /// change-point refit hands the freshly materialised corpus to the serving
 /// supervisor and returns immediately; a failed refit leaves the previous
-/// snapshot live (the service's degradation machinery owns retries).
+/// snapshot live and marks the service degraded until a later refit
+/// succeeds.
 ///
 /// Lifetime: `service` must outlive `ingest`, or the sink must be cleared
 /// first (`ingest.set_refit_sink(nullptr)`).

@@ -16,21 +16,6 @@ double WorkloadSpec::ReadOnlyFraction() const {
   return total > 0.0 ? read_only / total : 0.0;
 }
 
-double WorkloadSpec::TotalWeight() const {
-  double total = 0.0;
-  for (const TxnTypeSpec& t : transactions) total += t.weight;
-  return total;
-}
-
-Result<const TxnTypeSpec*> WorkloadSpec::FindTransaction(
-    const std::string& name) const {
-  for (const TxnTypeSpec& t : transactions) {
-    if (t.name == name) return &t;
-  }
-  return Status::NotFound("no transaction type " + name + " in " +
-                          this->name);
-}
-
 namespace {
 
 // Deterministic pseudo-variation in [0, 1) used to diversify

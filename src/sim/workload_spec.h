@@ -67,10 +67,6 @@ struct WorkloadSpec {
 
   /// Fraction of read-only transactions by weight.
   double ReadOnlyFraction() const;
-  /// Sum of transaction weights.
-  double TotalWeight() const;
-  /// Looks up a transaction type by name.
-  Result<const TxnTypeSpec*> FindTransaction(const std::string& name) const;
 };
 
 /// Builders for the paper's five standardized benchmarks (Table 1) and the

@@ -60,41 +60,6 @@ TEST(JacobiEigenTest, RejectsNonSymmetricAndNonSquare) {
   EXPECT_FALSE(JacobiEigen(Matrix(2, 3)).ok());
 }
 
-TEST(ThinSvdTest, ReconstructsTallMatrix) {
-  Rng rng(2);
-  Matrix a(12, 4);
-  for (double& v : a.data()) v = rng.Gaussian();
-  const auto svd = ThinSvd(a);
-  ASSERT_TRUE(svd.ok());
-  ASSERT_EQ(svd->singular_values.size(), 4u);
-  // Singular values descending.
-  for (size_t i = 1; i < 4; ++i) {
-    EXPECT_LE(svd->singular_values[i], svd->singular_values[i - 1] + 1e-12);
-  }
-  // A = U S Vᵀ.
-  Matrix s(4, 4);
-  for (size_t i = 0; i < 4; ++i) s(i, i) = svd->singular_values[i];
-  const Matrix rec = svd->u * s * svd->v.Transposed();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_NEAR(rec(i, j), a(i, j), 1e-7);
-    }
-  }
-}
-
-TEST(ThinSvdTest, DropsRankDeficiency) {
-  // Rank-1 matrix: only one singular value survives.
-  Matrix a(5, 3);
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t j = 0; j < 3; ++j) {
-      a(i, j) = (i + 1.0) * (j + 1.0);
-    }
-  }
-  const auto svd = ThinSvd(a);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_EQ(svd->singular_values.size(), 1u);
-}
-
 TEST(PcaTest, FindsDominantDirection) {
   // Data varies strongly along feature 0+1 jointly, weakly on feature 2.
   Rng rng(3);

@@ -13,14 +13,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "ml/decision_tree.h"
 #include "ml/gradient_boosting.h"
 #include "ml/lasso.h"
 #include "ml/linear_regression.h"
 #include "ml/mars.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
-#include "ml/random_forest.h"
 #include "ml/svr.h"
 #include "similarity/dtw.h"
 #include "similarity/lcss.h"
@@ -112,15 +110,6 @@ std::vector<ModelCase> RegressorCases() {
       {"Lasso001", [] { return std::make_unique<Lasso>(0.01); }, 0.02},
       {"ElasticNet",
        [] { return std::make_unique<ElasticNet>(0.01, 0.5); }, 0.05},
-      {"DecisionTree",
-       [] { return std::make_unique<DecisionTreeRegressor>(); }, 0.05},
-      {"RandomForest",
-       [] {
-         ForestParams params;
-         params.num_trees = 30;
-         return std::make_unique<RandomForestRegressor>(params);
-       },
-       0.10},
       {"GradientBoosting",
        [] { return std::make_unique<GradientBoostingRegressor>(); }, 0.05},
       {"Svr", [] { return std::make_unique<SvmRegressor>(); }, 0.15},

@@ -94,8 +94,16 @@ TEST_F(ObsMetricsTest, DisabledHooksRecordNothing) {
   WPRED_COUNT_ADD("t.disabled.counter", 5);
   WPRED_GAUGE_SET("t.disabled.gauge", 1.0);
   WPRED_HIST_RECORD("t.disabled.hist", 1.0);
-  obs::CounterAdd("t.disabled.counter2", 5);
   for (const auto& [name, value] : MetricsRegistry::Global().CounterSnapshot()) {
+    EXPECT_NE(name.rfind("t.disabled.", 0), 0u)
+        << name << " created while disabled";
+  }
+  for (const auto& [name, value] : MetricsRegistry::Global().GaugeSnapshot()) {
+    EXPECT_NE(name.rfind("t.disabled.", 0), 0u)
+        << name << " created while disabled";
+  }
+  for (const auto& [name, hist] :
+       MetricsRegistry::Global().HistogramSnapshot()) {
     EXPECT_NE(name.rfind("t.disabled.", 0), 0u)
         << name << " created while disabled";
   }
@@ -134,7 +142,7 @@ TEST_F(ObsMetricsTest, ThreadSafeExactTotals) {
       ParallelFor(kTasks, /*num_threads=*/8, [&](size_t i) -> Status {
         WPRED_COUNT_ADD("t.mt.counter", 2);
         WPRED_HIST_RECORD("t.mt.hist", 1e-3);
-        obs::GaugeSet("t.mt.gauge", static_cast<double>(i));
+        WPRED_GAUGE_SET("t.mt.gauge", static_cast<double>(i));
         return Status::OK();
       });
   ASSERT_TRUE(status.ok());

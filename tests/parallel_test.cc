@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -18,8 +17,6 @@
 #include "core/pipeline.h"
 #include "core/workbench.h"
 #include "featsel/wrapper.h"
-#include "ml/cross_validation.h"
-#include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "sim/hardware.h"
 #include "similarity/measures.h"
@@ -219,45 +216,6 @@ TEST(DeterminismTest, PairwiseDistancesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-struct LinearProblem {
-  Matrix x;
-  Vector y;
-};
-
-LinearProblem MakeLinearProblem(size_t n, double noise, uint64_t seed) {
-  Rng rng(seed);
-  LinearProblem p{Matrix(n, 3), Vector(n)};
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < 3; ++j) p.x(i, j) = rng.Uniform(-1, 1);
-    p.y[i] = 2.0 * p.x(i, 0) - p.x(i, 1) + 0.5 * p.x(i, 2) +
-             rng.Gaussian(0, noise);
-  }
-  return p;
-}
-
-TEST(DeterminismTest, RandomForestBitIdenticalAcrossThreadCounts) {
-  const LinearProblem p = MakeLinearProblem(150, 0.2, 42);
-  ForestParams serial_params;
-  serial_params.num_trees = 32;
-  serial_params.num_threads = 1;
-  ForestParams parallel_params = serial_params;
-  parallel_params.num_threads = kThreads;
-
-  RandomForestRegressor serial(serial_params), parallel(parallel_params);
-  ASSERT_TRUE(serial.Fit(p.x, p.y).ok());
-  ASSERT_TRUE(parallel.Fit(p.x, p.y).ok());
-  for (size_t i = 0; i < p.x.rows(); ++i) {
-    const double a = serial.Predict(p.x.Row(i)).value();
-    const double b = parallel.Predict(p.x.Row(i)).value();
-    EXPECT_EQ(a, b) << "row " << i;  // bitwise, not near
-  }
-  const Vector imp_serial = serial.FeatureImportances().value();
-  const Vector imp_parallel = parallel.FeatureImportances().value();
-  for (size_t f = 0; f < imp_serial.size(); ++f) {
-    EXPECT_EQ(imp_serial[f], imp_parallel[f]);
-  }
-}
-
 TEST(DeterminismTest, RandomForestClassifierBitIdenticalAcrossThreadCounts) {
   Rng rng(9);
   Matrix x(120, 2);
@@ -280,33 +238,6 @@ TEST(DeterminismTest, RandomForestClassifierBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.Predict(x.Row(i)).value(),
               parallel.Predict(x.Row(i)).value());
   }
-}
-
-TEST(DeterminismTest, CrossValidationBitIdenticalAcrossThreadCounts) {
-  const LinearProblem p = MakeLinearProblem(90, 0.3, 7);
-  auto run = [&](int num_threads) {
-    Rng rng(11);
-    ForestParams fp;
-    fp.num_trees = 12;
-    fp.num_threads = 1;  // inner model serial; outer folds under test
-    return CrossValidateRegressor(
-        [&fp]() -> std::unique_ptr<Regressor> {
-          return std::make_unique<RandomForestRegressor>(fp);
-        },
-        p.x, p.y, /*k=*/5, [](const Vector& t, const Vector& pr) {
-          return Rmse(t, pr);
-        },
-        rng, num_threads);
-  };
-  const auto serial = run(1);
-  const auto parallel = run(kThreads);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_EQ(serial->fold_scores.size(), parallel->fold_scores.size());
-  for (size_t f = 0; f < serial->fold_scores.size(); ++f) {
-    EXPECT_EQ(serial->fold_scores[f], parallel->fold_scores[f]) << "fold " << f;
-  }
-  EXPECT_EQ(serial->mean_score, parallel->mean_score);
 }
 
 // Small classification problem shared by the wrapper-selector tests.

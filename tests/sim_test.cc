@@ -1,9 +1,11 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/workbench.h"
 #include "linalg/stats.h"
@@ -291,6 +293,45 @@ TEST(EngineTest, SerialWorkloadIgnoresTerminals) {
   // Identical seed + forced single terminal: identical runs.
   EXPECT_DOUBLE_EQ(a.value().perf.throughput_tps,
                    b.value().perf.throughput_tps);
+}
+
+// Oracle-free check of the closed-loop simulator: N terminals cycling
+// through a transaction (mean response time R) and a think (mean Z) obey the
+// interactive response-time law N = X·(R + Z), with X the completed-
+// transaction throughput. A lost or double-counted transaction breaks it.
+// Serial workloads run on one terminal whatever was requested. At the
+// cut-off each terminal may hold one unfinished cycle, which explains up to
+// about 2N/C of relative error over C completed transactions.
+TEST(EngineTest, ResponseTimeLawHolds) {
+  std::vector<RunRequest> requests;
+  for (const WorkloadSpec& spec : StandardBenchmarks()) {
+    for (int cpus : {2, 8}) {
+      for (int terminals : {4, 32}) {
+        requests.push_back(QuickRequest(spec, cpus, terminals));
+      }
+    }
+  }
+  std::vector<PerfSummary> perf(requests.size());
+  ASSERT_TRUE(ParallelFor(requests.size(), [&](size_t i) -> Status {
+                WPRED_ASSIGN_OR_RETURN(Experiment e,
+                                       RunExperiment(requests[i]));
+                perf[i] = std::move(e.perf);
+                return Status::OK();
+              }).ok());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const RunRequest& request = requests[i];
+    const WorkloadSpec& spec = request.workload;
+    const double n = spec.serial_only ? 1.0 : request.terminals;
+    const double x = perf[i].throughput_tps;
+    const double r = perf[i].mean_latency_ms / 1000.0;
+    const double z = spec.think_time_ms / 1000.0;
+    const double completed = x * request.config.duration_s;
+    ASSERT_GT(completed, 0.0) << spec.name;
+    EXPECT_LE(std::fabs(x * (r + z) - n) / n, 0.01 + 2.0 * n / completed)
+        << spec.name << " at " << request.sku.cpus << " CPUs, "
+        << request.terminals << " terminals: X=" << x << " R=" << r
+        << " Z=" << z;
+  }
 }
 
 TEST(EngineTest, MemoryUtilizationWarmsUp) {

@@ -79,17 +79,27 @@ TEST(SimdTest, ReductionKernelsMatchSequentialReference) {
 
 TEST(SimdTest, ElementwiseAndMinMaxKernelsAreExact) {
   Rng rng(11);
+  const double inf = std::numeric_limits<double>::infinity();
   for (const size_t n : {1ul, 7ul, 8ul, 65ul}) {
     const std::vector<double> a = RandomSpan(rng, n);
     const std::vector<double> b = RandomSpan(rng, n);
-    std::vector<double> out(n);
-    simd::PairMin(a.data(), b.data(), out.data(), n);
+    // The anti-diagonal fill walks `b` backward from its last element.
     std::vector<double> cost(n, 0.25);
-    simd::AccumulateRowCost(0.5, b.data(), cost.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], std::min(a[i], b[i])) << "i=" << i;
-      const double d = 0.5 - b[i];
-      EXPECT_EQ(cost[i], 0.25 + d * d) << "i=" << i;
+    simd::AccumulateAntiDiagCost(a.data(), b.data() + (n - 1), cost.data(), n);
+    // The relax sees the DTW band edges as +inf predecessors.
+    std::vector<double> left = RandomSpan(rng, n);
+    std::vector<double> up = RandomSpan(rng, n);
+    std::vector<double> diag = RandomSpan(rng, n);
+    left[0] = inf;
+    up[n - 1] = inf;
+    std::vector<double> out(n);
+    simd::RelaxAntiDiag(cost.data(), left.data(), up.data(), diag.data(),
+                        out.data(), n);
+    for (size_t t = 0; t < n; ++t) {
+      const double d = a[t] - b[n - 1 - t];
+      EXPECT_EQ(cost[t], 0.25 + d * d) << "t=" << t;
+      EXPECT_EQ(out[t], cost[t] + std::min(left[t], std::min(up[t], diag[t])))
+          << "t=" << t;
     }
     EXPECT_EQ(simd::MinValue(a.data(), n),
               *std::min_element(a.begin(), a.end()));

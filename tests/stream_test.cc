@@ -603,8 +603,6 @@ TEST_F(StreamIngestTest, ReferenceEngineGrowsOnRegimeShift) {
 TEST_F(StreamIngestTest, ConnectIngestDrivesServiceRefits) {
   serve::ServiceConfig service_config;
   service_config.pipeline.selector = "fANOVA";
-  service_config.refit.initial_backoff_s = 0.001;
-  service_config.refit.max_backoff_s = 0.002;
   serve::PredictionService service(service_config);
   ASSERT_TRUE(service.Start(*corpus_).ok());
   const uint64_t initial_epoch = service.snapshot_epoch();
