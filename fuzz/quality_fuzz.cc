@@ -88,15 +88,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const size_t plan_rows = in.Next() % 4;
 
   wpred::QualityPolicy policy;
-  const uint8_t flags = in.Next();
-  policy.winsorize_outliers = (flags & 1) != 0;
-  policy.interpolate_gaps = (flags & 2) == 0;
-  policy.drop_dead_features = (flags & 4) == 0;
   policy.min_samples = in.Next() % 12;
   policy.max_dead_features = in.Next() % 8;
   policy.stuck_run_fraction = static_cast<double>(1 + in.Next() % 10) / 10.0;
   policy.max_bad_fraction = static_cast<double>(in.Next() % 11) / 10.0;
-  policy.mad_outlier_threshold = static_cast<double>(1 + in.Next() % 16);
 
   std::vector<size_t> features;
   for (size_t f = 0; f < wpred::kNumFeatures; f += 8) {

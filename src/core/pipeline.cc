@@ -111,13 +111,6 @@ Status PipelineConfig::Validate() const {
                   similarity_sketch_bins));
   }
   if (quality_gate) {
-    if (!(quality.mad_outlier_threshold > 0.0) ||
-        !std::isfinite(quality.mad_outlier_threshold)) {
-      return Status::InvalidArgument(StrFormat(
-          "QualityPolicy::mad_outlier_threshold must be a positive finite "
-          "number; got %g",
-          quality.mad_outlier_threshold));
-    }
     if (!(quality.stuck_run_fraction > 0.0) ||
         quality.stuck_run_fraction > 1.0) {
       return Status::InvalidArgument(StrFormat(
@@ -205,7 +198,6 @@ Status Pipeline::SelectFeatures(const ExperimentCorpus& gated) {
 
 Status Pipeline::Fit(const ExperimentCorpus& reference) {
   WPRED_RETURN_IF_ERROR(config_.Validate());
-  if (config_.enable_metrics) obs::SetMetricsEnabled(true);
   obs::Span fit_span("pipeline.fit");
   WPRED_COUNT_ADD("pipeline.fit_calls", 1);
   if (reference.size() < 2) {
@@ -220,7 +212,6 @@ Status Pipeline::Fit(const ExperimentCorpus& reference) {
 Status Pipeline::Refit(const ExperimentCorpus& reference) {
   if (!(config_.incremental_refit && fitted_)) return Fit(reference);
   WPRED_RETURN_IF_ERROR(config_.Validate());
-  if (config_.enable_metrics) obs::SetMetricsEnabled(true);
   obs::Span refit_span("pipeline.refit");
   WPRED_COUNT_ADD("pipeline.refit_calls", 1);
   if (reference.size() < 2) {

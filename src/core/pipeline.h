@@ -56,12 +56,6 @@ struct PipelineConfig {
   /// unchecked (the pre-gate behaviour).
   bool quality_gate = true;
   QualityPolicy quality;
-  /// Turns on the process-wide observability layer (obs/) for this and
-  /// every later run: per-stage spans, counters, and histograms, exported
-  /// via obs::DumpMetricsJson. The WPRED_METRICS env var enables the same
-  /// switch without code changes; false here leaves the env setting alone.
-  /// Metrics never change numeric results — only record them.
-  bool enable_metrics = false;
   /// Warm-started model refresh for the streaming path: Refit() on an
   /// already-fitted pipeline reuses the fitted feature ranking and
   /// selection — skipping the selection stage, the dominant cost with

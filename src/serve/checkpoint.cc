@@ -140,15 +140,10 @@ void EncodeConfig(ByteWriter& w, const PipelineConfig& config) {
   w.PutU64(config.similarity_shard_traces);
   w.PutI64(config.similarity_sketch_bins);
   w.PutU8(config.quality_gate ? 1 : 0);
-  w.PutDouble(config.quality.mad_outlier_threshold);
   w.PutDouble(config.quality.stuck_run_fraction);
   w.PutDouble(config.quality.max_bad_fraction);
-  w.PutU8(config.quality.interpolate_gaps ? 1 : 0);
-  w.PutU8(config.quality.winsorize_outliers ? 1 : 0);
-  w.PutU8(config.quality.drop_dead_features ? 1 : 0);
   w.PutU64(config.quality.min_samples);
   w.PutU64(config.quality.max_dead_features);
-  w.PutU8(config.enable_metrics ? 1 : 0);
   w.PutU8(config.incremental_refit ? 1 : 0);
 }
 
@@ -181,21 +176,12 @@ Result<PipelineConfig> DecodeConfig(ByteReader& r) {
   config.similarity_sketch_bins = static_cast<int>(sketch_bins);
   WPRED_ASSIGN_OR_RETURN(uint8_t quality_gate, r.GetU8());
   config.quality_gate = quality_gate != 0;
-  WPRED_ASSIGN_OR_RETURN(config.quality.mad_outlier_threshold, r.GetDouble());
   WPRED_ASSIGN_OR_RETURN(config.quality.stuck_run_fraction, r.GetDouble());
   WPRED_ASSIGN_OR_RETURN(config.quality.max_bad_fraction, r.GetDouble());
-  WPRED_ASSIGN_OR_RETURN(uint8_t interpolate, r.GetU8());
-  config.quality.interpolate_gaps = interpolate != 0;
-  WPRED_ASSIGN_OR_RETURN(uint8_t winsorize, r.GetU8());
-  config.quality.winsorize_outliers = winsorize != 0;
-  WPRED_ASSIGN_OR_RETURN(uint8_t drop_dead, r.GetU8());
-  config.quality.drop_dead_features = drop_dead != 0;
   WPRED_ASSIGN_OR_RETURN(uint64_t min_samples, r.GetU64());
   config.quality.min_samples = min_samples;
   WPRED_ASSIGN_OR_RETURN(uint64_t max_dead, r.GetU64());
   config.quality.max_dead_features = max_dead;
-  WPRED_ASSIGN_OR_RETURN(uint8_t metrics, r.GetU8());
-  config.enable_metrics = metrics != 0;
   WPRED_ASSIGN_OR_RETURN(uint8_t incremental_refit, r.GetU8());
   config.incremental_refit = incremental_refit != 0;
   return config;

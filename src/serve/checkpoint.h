@@ -33,10 +33,11 @@
 
 namespace wpred::serve {
 
-/// Version 2 added similarity_shard_traces, similarity_sketch_bins and
-/// incremental_refit to the config; a version-1 file is rejected like any
-/// other version mismatch.
-inline constexpr uint32_t kCheckpointVersion = 2;
+/// Version 3 dropped the quality gate's MAD threshold and three repair
+/// switches, and the fit-time metrics switch, from the config; version 2 had
+/// added similarity_shard_traces, similarity_sketch_bins and
+/// incremental_refit. Any other version is rejected as a mismatch.
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 /// The deserialised fit closure of a checkpoint.
 struct CheckpointContents {

@@ -99,10 +99,6 @@ Status PredictionService::CheckAdmission() const {
       static_cast<int64_t>(config_.max_in_flight)) {
     return Status::OK();
   }
-  if (!config_.shed_on_overload) {
-    WPRED_COUNT_ADD("serve.overload.soft", 1);
-    return Status::OK();
-  }
   shed_.fetch_add(1, std::memory_order_relaxed);
   WPRED_COUNT_ADD("serve.shed", 1);
   return Status::Unavailable(StrFormat(
@@ -212,7 +208,6 @@ Status PredictionService::RefitNow(const ExperimentCorpus& corpus) {
 Status PredictionService::SupervisedRefit(const ExperimentCorpus& corpus) {
   MutexLock refit_lock(refit_mu_);
   obs::Span span("serve.refit");
-  WPRED_COUNT_ADD("serve.refit.attempts", 1);
   // One attempt: the fit is deterministic in (config, corpus), so repeating
   // it on the same corpus cannot succeed where this one failed.
   const Status status = AttemptRefit(corpus);

@@ -41,11 +41,10 @@ namespace wpred::serve {
 
 struct ServiceConfig {
   PipelineConfig pipeline;
-  /// Maximum concurrent reads admitted; 0 disables admission control.
+  /// Maximum concurrent reads admitted; 0 disables admission control. A
+  /// read over the limit sheds with Status::Unavailable, so load cannot
+  /// starve the refit thread.
   size_t max_in_flight = 1024;
-  /// Over the limit: true sheds with Status::Unavailable (load cannot
-  /// starve the refit thread); false only counts serve.overload.soft.
-  bool shed_on_overload = true;
   /// Checkpoint file, written after every successful publish; empty
   /// disables checkpointing entirely.
   std::string checkpoint_path;

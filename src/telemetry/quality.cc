@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/string_util.h"
-#include "linalg/stats.h"
 
 namespace wpred {
 namespace {
 
-/// Consistency constant turning MAD into a Gaussian-comparable sigma.
-constexpr double kMadToSigma = 1.4826;
-
 /// O(n) detection pass over one resource feature column: non-finite counts,
 /// the longest non-zero run, and the dead/stuck verdicts. No allocation and
-/// no mutation; outlier_count is left at 0 (see CountMadOutliers).
+/// no mutation.
 FeatureQuality ScanRuns(const Matrix& values, size_t c,
                         const QualityPolicy& policy) {
   FeatureQuality q;
@@ -56,48 +51,6 @@ FeatureQuality ScanRuns(const Matrix& values, size_t c,
   return q;
 }
 
-/// Median and outlier fence of a column's finite samples.
-struct MadFence {
-  double median = 0.0;
-  double fence = 0.0;
-};
-
-/// Robust fence |x - median| > threshold · 1.4826 · MAD over the finite
-/// samples of column c; nullopt when fewer than 4 are finite or MAD is 0.
-std::optional<MadFence> ComputeMadFence(const Matrix& values, size_t c,
-                                        const QualityPolicy& policy) {
-  Vector finite;
-  finite.reserve(values.rows());
-  for (size_t r = 0; r < values.rows(); ++r) {
-    if (std::isfinite(values(r, c))) finite.push_back(values(r, c));
-  }
-  if (finite.size() < 4) return std::nullopt;
-  const double med = Median(finite);
-  Vector dev(finite.size());
-  for (size_t i = 0; i < finite.size(); ++i) {
-    dev[i] = std::fabs(finite[i] - med);
-  }
-  const double mad = Median(dev);
-  if (!(mad > 0.0)) return std::nullopt;
-  return MadFence{med, policy.mad_outlier_threshold * kMadToSigma * mad};
-}
-
-/// MAD outliers among the finite samples of column c (two Median
-/// selections; only reports and winsorization consume this).
-size_t CountMadOutliers(const Matrix& values, size_t c,
-                        const QualityPolicy& policy) {
-  const std::optional<MadFence> fence = ComputeMadFence(values, c, policy);
-  if (!fence) return 0;
-  size_t outliers = 0;
-  for (size_t r = 0; r < values.rows(); ++r) {
-    const double v = values(r, c);
-    if (std::isfinite(v) && std::fabs(v - fence->median) > fence->fence) {
-      ++outliers;
-    }
-  }
-  return outliers;
-}
-
 /// Linear interpolation of non-finite gaps from the nearest finite
 /// neighbours; leading/trailing gaps extend the nearest finite value.
 /// Requires at least one finite sample (dead columns never reach here).
@@ -129,18 +82,6 @@ void InterpolateGaps(Matrix& values, size_t c) {
   }
 }
 
-/// Clamps MAD outliers to the fence.
-void Winsorize(Matrix& values, size_t c, const QualityPolicy& policy) {
-  const std::optional<MadFence> fence = ComputeMadFence(values, c, policy);
-  if (!fence) return;
-  for (size_t r = 0; r < values.rows(); ++r) {
-    double& v = values(r, c);
-    if (!std::isfinite(v)) continue;
-    v = std::clamp(v, fence->median - fence->fence,
-                   fence->median + fence->fence);
-  }
-}
-
 DataQualityReport Detect(const Experiment& e, const QualityPolicy& policy) {
   DataQualityReport report;
   report.num_samples = e.resource.num_samples();
@@ -148,8 +89,6 @@ DataQualityReport Detect(const Experiment& e, const QualityPolicy& policy) {
   for (size_t c = 0; c < kNumResourceFeatures && c < e.resource.values.cols();
        ++c) {
     report.features[c] = ScanRuns(e.resource.values, c, policy);
-    report.features[c].outlier_count =
-        CountMadOutliers(e.resource.values, c, policy);
   }
   for (double v : e.plans.values.data()) {
     if (!std::isfinite(v)) ++report.plan_bad_values;
@@ -172,7 +111,6 @@ std::vector<size_t> DataQualityReport::UnusableFeatures() const {
 bool DataQualityReport::clean() const {
   if (plan_bad_values > 0 || perf_bad) return false;
   for (const FeatureQuality& q : features) {
-    // outlier_count is advisory (see header): not part of cleanliness.
     if (q.nan_count > 0 || q.inf_count > 0 || q.dead || q.stuck ||
         q.repaired || q.dropped) {
       return false;
@@ -183,20 +121,18 @@ bool DataQualityReport::clean() const {
 
 std::string DataQualityReport::Summary() const {
   if (clean()) return "clean";
-  size_t nan = 0, inf = 0, outliers = 0, repaired = 0;
+  size_t nan = 0, inf = 0, repaired = 0;
   std::vector<size_t> dead, stuck;
   for (size_t c = 0; c < features.size(); ++c) {
     const FeatureQuality& q = features[c];
     nan += q.nan_count;
     inf += q.inf_count;
-    outliers += q.outlier_count;
     repaired += q.repaired ? 1 : 0;
     if (q.dead) dead.push_back(c);
     if (q.stuck) stuck.push_back(c);
   }
   std::vector<std::string> parts;
   if (nan + inf > 0) parts.push_back(StrFormat("%zu non-finite", nan + inf));
-  if (outliers > 0) parts.push_back(StrFormat("%zu outliers", outliers));
   if (!dead.empty()) {
     std::vector<std::string> ids;
     for (size_t c : dead) ids.push_back(StrFormat("%zu", c));
@@ -223,7 +159,6 @@ DataQualityReport AnalyzeExperiment(const Experiment& experiment,
 bool PassesUntouched(const Experiment& experiment, const QualityPolicy& policy,
                      std::span<const size_t> features) {
   const Matrix& values = experiment.resource.values;
-  if (policy.winsorize_outliers) return false;
   if (values.rows() < std::max<size_t>(1, policy.min_samples)) return false;
   if (values.cols() != kNumResourceFeatures) return false;
   if (!std::isfinite(experiment.perf.throughput_tps) ||
@@ -266,22 +201,14 @@ Result<DataQualityReport> RepairExperiment(Experiment& experiment,
         "non-finite performance summary (the prediction target is corrupt)");
   }
 
-  const std::vector<size_t> dead_now = [&] {
-    std::vector<size_t> dead;
-    for (size_t c = 0; c < report.features.size(); ++c) {
-      if (report.features[c].dead) dead.push_back(c);
-    }
-    return dead;
-  }();
-  if (dead_now.size() > policy.max_dead_features) {
+  const size_t dead = static_cast<size_t>(
+      std::count_if(report.features.begin(), report.features.end(),
+                    [](const FeatureQuality& q) { return q.dead; }));
+  if (dead > policy.max_dead_features) {
     return Status::FailedPrecondition(
-        StrFormat("%zu dead resource features > maximum %zu: ",
-                  dead_now.size(), policy.max_dead_features) +
+        StrFormat("%zu dead resource features > maximum %zu: ", dead,
+                  policy.max_dead_features) +
         report.Summary());
-  }
-  if (!dead_now.empty() && !policy.drop_dead_features) {
-    return Status::FailedPrecondition("dead resource features present: " +
-                                      report.Summary());
   }
 
   Matrix& values = experiment.resource.values;
@@ -295,17 +222,7 @@ Result<DataQualityReport> RepairExperiment(Experiment& experiment,
       continue;
     }
     if (q.nan_count + q.inf_count > 0) {
-      if (!policy.interpolate_gaps) {
-        return Status::NumericalError(
-            StrFormat("feature %zu has %zu non-finite samples and gap "
-                      "interpolation is disabled",
-                      c, q.nan_count + q.inf_count));
-      }
       InterpolateGaps(values, c);
-      q.repaired = true;
-    }
-    if (policy.winsorize_outliers && q.outlier_count > 0) {
-      Winsorize(values, c, policy);
       q.repaired = true;
     }
   }

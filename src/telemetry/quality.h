@@ -16,13 +16,12 @@ namespace wpred {
 // so the pipeline can degrade gracefully instead of silently propagating
 // NaN/Inf or dead-sensor columns into feature selection and scaling models.
 
-/// Detection thresholds and repair switches. Defaults are conservative:
-/// clean telemetry passes through bit-identical (interpolation only touches
-/// non-finite samples; winsorization is opt-in).
+/// Verdict thresholds. The repair itself is fixed: non-finite gaps are
+/// interpolated linearly (edge gaps extend the nearest finite value), dead
+/// feature columns are zero-filled and flagged dropped, and non-finite plan
+/// values become 0. Finite samples are never rewritten, so clean telemetry
+/// passes through bit-identical.
 struct QualityPolicy {
-  // --- detection ---
-  /// |x - median| / (1.4826 * MAD) above this counts as an outlier sample.
-  double mad_outlier_threshold = 8.0;
   /// A run of consecutive identical non-zero values covering at least this
   /// fraction of the series marks the feature as a stuck sensor. All-zero
   /// columns are idle sensors, not stuck ones (lock waits in an analytical
@@ -31,24 +30,10 @@ struct QualityPolicy {
   /// A feature with more than this fraction of non-finite samples is dead —
   /// interpolation would fabricate most of the series.
   double max_bad_fraction = 0.5;
-
-  // --- repair ---
-  /// Linearly interpolate interior non-finite gaps from the nearest finite
-  /// neighbours; leading/trailing gaps extend the nearest finite value.
-  bool interpolate_gaps = true;
-  /// Clamp MAD outliers to the threshold fence. Off by default: legitimate
-  /// bursts (IO spikes) should survive the gate unless the caller opts in.
-  bool winsorize_outliers = false;
-  /// Zero-fill dead feature columns (marking them dropped) so downstream
-  /// aggregate math stays finite. When false, a dead feature makes the
-  /// experiment unrepairable (kFailedPrecondition).
-  bool drop_dead_features = true;
-
-  // --- beyond-repair thresholds ---
   /// Fewer resource samples than this is unrepairable (kFailedPrecondition).
   size_t min_samples = 8;
-  /// More dead resource features than this is unrepairable even with
-  /// drop_dead_features (kFailedPrecondition).
+  /// More dead resource features than this is unrepairable
+  /// (kFailedPrecondition); up to this many are zero-filled and dropped.
   size_t max_dead_features = 3;
 };
 
@@ -56,15 +41,11 @@ struct QualityPolicy {
 struct FeatureQuality {
   size_t nan_count = 0;       // non-finite samples seen before repair
   size_t inf_count = 0;
-  /// MAD outliers among finite samples. Advisory: legitimate bursty
-  /// telemetry routinely trips the detector, so outliers alone never make a
-  /// report unclean — they only matter when winsorization is enabled.
-  size_t outlier_count = 0;
   size_t longest_stuck_run = 0;
   bool dead = false;          // too many non-finite samples to repair
   bool stuck = false;         // frozen non-zero run >= stuck_run_fraction
-  bool repaired = false;      // gaps interpolated and/or outliers clamped
-  bool dropped = false;       // zero-filled by drop_dead_features
+  bool repaired = false;      // non-finite gaps interpolated
+  bool dropped = false;       // dead column zero-filled
 
   /// Healthy enough to select / represent / compare on.
   bool usable() const { return !dead && !stuck; }
@@ -95,8 +76,7 @@ Status CheckResourceWidth(const Experiment& experiment);
 
 /// Detects and repairs in place. Returns the report of what was found and
 /// fixed, or a non-OK Status when the telemetry is beyond repair:
-///  - kFailedPrecondition: too few samples, too many dead features, or a
-///    dead feature with drop_dead_features disabled;
+///  - kFailedPrecondition: too few samples or too many dead features;
 ///  - kInvalidArgument: a resource matrix narrower or wider than the
 ///    catalog (CheckResourceWidth);
 ///  - kNumericalError: non-finite performance summary (the prediction
@@ -108,9 +88,9 @@ Result<DataQualityReport> RepairExperiment(Experiment& experiment,
 /// would succeed, write nothing, and report none of `features` unusable —
 /// at least max(1, min_samples) samples, exactly kNumResourceFeatures
 /// resource columns, a finite perf summary, every resource and plan value
-/// finite, winsorization off, and no selected resource column stuck. One
-/// O(n) pass per check, no allocation, no MAD statistics; a false answer
-/// says nothing about why (run RepairExperiment for the report).
+/// finite, and no selected resource column stuck. One O(n) pass per check
+/// and no allocation; a false answer says nothing about why (run
+/// RepairExperiment for the report).
 bool PassesUntouched(const Experiment& experiment, const QualityPolicy& policy,
                      std::span<const size_t> features);
 

@@ -303,10 +303,11 @@ TEST_F(ObsPipelineTest, MetricsEnabledChangesNoPipelineOutput) {
   config.sim.sample_period_s = 0.5;
   const ExperimentCorpus corpus = GenerateCorpus(config).value();
 
-  const auto run = [&](bool enable_metrics) {
+  const auto run = [&](bool metrics_on) {
+    const bool was_enabled = obs::MetricsEnabled();
+    obs::SetMetricsEnabled(metrics_on);
     PipelineConfig pc;
     pc.selector = "fANOVA";
-    pc.enable_metrics = enable_metrics;
     Pipeline pipeline(pc);
     EXPECT_TRUE(pipeline.Fit(corpus).ok());
     const auto ranked = pipeline.RankWorkloads(corpus[0]).value();
@@ -314,6 +315,7 @@ TEST_F(ObsPipelineTest, MetricsEnabledChangesNoPipelineOutput) {
     std::vector<double> outputs;
     for (const auto& r : ranked) outputs.push_back(r.mean_distance);
     outputs.push_back(prediction.throughput_tps);
+    obs::SetMetricsEnabled(was_enabled);
     return outputs;
   };
 

@@ -193,10 +193,6 @@ TEST(PipelineConfigValidateTest, RejectsOutOfRangeKnobs) {
   expect_invalid(config, "similarity_sketch_bins");
 
   config = PipelineConfig{};
-  config.quality.mad_outlier_threshold = 0.0;
-  expect_invalid(config, "mad_outlier_threshold");
-
-  config = PipelineConfig{};
   config.quality.stuck_run_fraction = 0.0;
   expect_invalid(config, "stuck_run_fraction");
 
@@ -216,7 +212,7 @@ TEST(PipelineConfigValidateTest, RejectsOutOfRangeKnobs) {
 TEST(PipelineConfigValidateTest, QualityKnobsIgnoredWhenGateDisabled) {
   PipelineConfig config;
   config.quality_gate = false;
-  config.quality.mad_outlier_threshold = -1.0;  // nonsense, but unused
+  config.quality.stuck_run_fraction = -1.0;  // nonsense, but unused
   EXPECT_TRUE(config.Validate().ok());
 }
 

@@ -195,13 +195,6 @@ TEST_F(QualityTest, DeadFeatureIsDroppedNotFabricated) {
   for (size_t r = 0; r < e.resource.num_samples(); ++r) {
     EXPECT_EQ(e.resource.values(r, 4), 0.0);
   }
-  // With dropping disabled, the same telemetry is beyond repair.
-  Experiment again = Sample();
-  ASSERT_TRUE(ApplyFault(FaultSpec::SensorDropout(4), again, rng).ok());
-  QualityPolicy no_drop;
-  no_drop.drop_dead_features = false;
-  EXPECT_EQ(RepairExperiment(again, no_drop).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(QualityTest, StuckSensorIsDetected) {
@@ -241,32 +234,22 @@ TEST_F(QualityTest, BeyondRepairStatusesArePrecise) {
   }
   EXPECT_EQ(RepairExperiment(many_dead).status().code(),
             StatusCode::kFailedPrecondition);
-
-  // Non-finite samples with interpolation disabled.
-  Experiment holes = Sample();
-  holes.resource.values(5, 2) = std::nan("");
-  QualityPolicy no_interp;
-  no_interp.interpolate_gaps = false;
-  EXPECT_EQ(RepairExperiment(holes, no_interp).status().code(),
-            StatusCode::kNumericalError);
 }
 
-TEST_F(QualityTest, WinsorizationIsOptIn) {
+TEST_F(QualityTest, OutliersPassThroughUnclamped) {
+  // Legitimate bursts (IO spikes) must survive the gate: finite samples are
+  // never rewritten, however far they sit from the rest of the column.
   Experiment e = Sample();
   Rng rng(7);
   ASSERT_TRUE(ApplyFault(FaultSpec::Outliers(0.05, 1000.0), e, rng).ok());
-  const double spiked_max = Max(e.resource.values.Col(0));
-
-  Experiment untouched = e;
-  ASSERT_TRUE(RepairExperiment(untouched).ok());  // default: no winsorize
-  EXPECT_EQ(Max(untouched.resource.values.Col(0)), spiked_max);
-
-  QualityPolicy clamp;
-  clamp.winsorize_outliers = true;
-  const auto report = RepairExperiment(e, clamp);
+  const Matrix spiked = e.resource.values;
+  const auto report = RepairExperiment(e);
   ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->features[0].outlier_count, 0u);
-  EXPECT_LT(Max(e.resource.values.Col(0)), spiked_max);
+  EXPECT_TRUE(report->clean()) << report->Summary();
+  EXPECT_EQ(Max(e.resource.values.Col(0)), Max(spiked.Col(0)));
+  EXPECT_TRUE(std::equal(e.resource.values.data().begin(),
+                         e.resource.values.data().end(),
+                         spiked.data().begin()));
 }
 
 // --- copy-free screen --------------------------------------------------------
@@ -388,11 +371,8 @@ TEST_F(QualityTest, ScreenDeclinesWhateverTheGateWouldWriteOrRefuse) {
   EXPECT_TRUE(PassesUntouched(stuck, policy, ScreenFeatureSets()[0]));
   EXPECT_FALSE(PassesUntouched(stuck, policy, ScreenFeatureSets()[1]));
 
-  // Winsorization may clamp, and a missing column is not the catalog's: the
-  // screen declines both without asking why.
-  QualityPolicy clamp;
-  clamp.winsorize_outliers = true;
-  EXPECT_FALSE(PassesUntouched(Sample(), clamp, ScreenFeatureSets()[1]));
+  // A missing column is not the catalog's: the screen declines it without
+  // asking why.
   Experiment narrow = Sample();
   narrow.resource.values = narrow.resource.values.SelectCols({0, 1});
   EXPECT_FALSE(PassesUntouched(narrow, policy, ScreenFeatureSets()[0]));
