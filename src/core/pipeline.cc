@@ -10,6 +10,7 @@
 #include "featsel/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "similarity/measures.h"
 
 namespace wpred {
 
@@ -75,6 +76,14 @@ ScalingFit FitScalingModels(const ExperimentCorpus& gated,
   fit.status = fit.single.Fit(config.strategy, *points);
   fit.fitted = fit.status.ok();
   return fit;
+}
+
+// Sorted distinct workload names of a gated corpus: the classes feature
+// selection separates.
+std::vector<std::string> WorkloadSet(const ExperimentCorpus& gated) {
+  std::vector<std::string> names = gated.WorkloadNames();
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace
@@ -179,20 +188,22 @@ Status Pipeline::SelectFeatures(const ExperimentCorpus& gated) {
       scores[f] = -std::numeric_limits<double>::infinity();
     }
   }
-  ranking_ = ScoresToRanking(scores);
-  selected_features_ = ranking_.TopK(config_.top_k);
+  selection_.ranking = ScoresToRanking(scores);
+  selection_.features = selection_.ranking.TopK(config_.top_k);
   if (config_.representation == Representation::kMts) {
     // Defensive: drop any plan feature that slipped in via k > 7.
     std::vector<size_t> resource_only;
-    for (size_t f : selected_features_) {
+    for (size_t f : selection_.features) {
       if (f < kNumResourceFeatures) resource_only.push_back(f);
     }
-    selected_features_ = std::move(resource_only);
-    if (selected_features_.empty()) {
+    selection_.features = std::move(resource_only);
+    if (selection_.features.empty()) {
       return Status::FailedPrecondition(
           "MTS representation selected no resource features");
     }
   }
+  selection_.workloads = WorkloadSet(gated);
+  reselected_ = true;
   return Status::OK();
 }
 
@@ -210,21 +221,36 @@ Status Pipeline::Fit(const ExperimentCorpus& reference) {
 }
 
 Status Pipeline::Refit(const ExperimentCorpus& reference) {
-  if (!(config_.incremental_refit && fitted_)) return Fit(reference);
+  if (!fitted_) return Fit(reference);
+  const FeatureSelection selection = selection_;  // the refit overwrites it
+  return Refit(reference, selection);
+}
+
+Status Pipeline::Refit(const ExperimentCorpus& reference,
+                       const FeatureSelection& selection) {
+  if (!config_.incremental_refit) return Fit(reference);
   WPRED_RETURN_IF_ERROR(config_.Validate());
   obs::Span refit_span("pipeline.refit");
   WPRED_COUNT_ADD("pipeline.refit_calls", 1);
   if (reference.size() < 2) {
     return Status::InvalidArgument("reference corpus too small");
   }
-  // Warm path: the fitted ranking_ / selected_features_ carry over; only
-  // the corpus-dependent stages rerun.
   fitted_ = false;
   WPRED_ASSIGN_OR_RETURN(ExperimentCorpus gated, GateReference(reference));
+  if (WorkloadSet(gated) == selection.workloads) {
+    // Warm path: the selection carries over; only the corpus-dependent
+    // stages rerun.
+    selection_ = selection;
+    reselected_ = false;
+  } else {
+    // Another classification problem: select as Fit() would, on the corpus
+    // already gated.
+    WPRED_RETURN_IF_ERROR(SelectFeatures(gated));
+  }
   return FitFromSelection(std::move(gated));
 }
 
-// Stages 2–3 against the current ranking_/selected_features_.
+// Stages 2–3 against the current selection_.
 Status Pipeline::FitFromSelection(ExperimentCorpus gated) {
   // Stage 2: similarity machinery — shared normalisation + reference
   // representations.
@@ -237,7 +263,7 @@ Status Pipeline::FitFromSelection(ExperimentCorpus gated) {
                             [&](size_t i) -> Result<Matrix> {
                               return BuildRepresentation(
                                   config_.representation, gated[i],
-                                  selected_features_, ctx_);
+                                  selection_.features, ctx_);
                             }));
     WPRED_COUNT_ADD("pipeline.representations_built", gated.size());
     // The engine owns the reference representations; it also validates the
@@ -294,9 +320,10 @@ Result<Pipeline::PreparedObservation> Pipeline::PrepareObserved(
   obs::Span prepare_span("quality_gate");
   PreparedObservation prepared;
   prepared.observed = &observed;
-  prepared.features = selected_features_;
+  const std::vector<size_t>& selected = selection_.features;
+  prepared.features = selected;
   if (!config_.quality_gate ||
-      PassesUntouched(observed, config_.quality, selected_features_)) {
+      PassesUntouched(observed, config_.quality, selected)) {
     return prepared;
   }
 
@@ -313,7 +340,7 @@ Result<Pipeline::PreparedObservation> Pipeline::PrepareObserved(
   };
   std::vector<size_t> healthy;
   size_t lost = 0;
-  for (size_t f : selected_features_) {
+  for (size_t f : selected) {
     if (is_unusable(f)) {
       ++lost;
     } else {
@@ -325,11 +352,11 @@ Result<Pipeline::PreparedObservation> Pipeline::PrepareObserved(
   // Refill from the fitted importance ranking: next-best features that are
   // healthy in this observation and expressible by the representation.
   std::vector<size_t> substitutes;
-  for (size_t f : ranking_.TopK(ranking_.ranks.size())) {
+  const FeatureRanking& ranking = selection_.ranking;
+  for (size_t f : ranking.TopK(ranking.ranks.size())) {
     if (substitutes.size() == lost) break;
     if (is_unusable(f)) continue;
-    if (std::find(selected_features_.begin(), selected_features_.end(), f) !=
-        selected_features_.end()) {
+    if (std::find(selected.begin(), selected.end(), f) != selected.end()) {
       continue;
     }
     if (config_.representation == Representation::kMts &&
@@ -351,6 +378,24 @@ Result<Pipeline::PreparedObservation> Pipeline::PrepareObserved(
   }
   prepared.degraded = true;
   return prepared;
+}
+
+// A degraded read's effective features do not match the fitted engine's
+// representations, so the scan rebuilds each reference and measures it
+// directly. MeasureDistance runs the engine's exact-scan kernels (DTW at an
+// infinite cutoff), so the distances equal an engine's Distances() bit for
+// bit, without the envelopes and sketches only a pruned top-k reads.
+Result<Vector> Pipeline::DegradedDistances(
+    const Matrix& rep, const std::vector<size_t>& features) const {
+  return ParallelMap<double>(
+      reference_corpus_.size(), config_.num_threads,
+      [&](size_t i) -> Result<double> {
+        WPRED_ASSIGN_OR_RETURN(
+            const Matrix reference,
+            BuildRepresentation(config_.representation, reference_corpus_[i],
+                                features, ctx_));
+        return MeasureDistance(config_.measure, rep, reference);
+      });
 }
 
 // The gated reference corpus rebuilt over a degraded read's effective
@@ -383,10 +428,8 @@ Result<std::vector<Pipeline::WorkloadDistance>> Pipeline::RankPrepared(
   // ranking bit-identical at any thread count.
   Vector distances;
   if (observation.degraded) {
-    WPRED_ASSIGN_OR_RETURN(const SimilarityQueryEngine engine,
-                           DegradedEngine(observation.features));
     WPRED_ASSIGN_OR_RETURN(distances,
-                           engine.Distances(rep, config_.num_threads));
+                           DegradedDistances(rep, observation.features));
   } else {
     WPRED_ASSIGN_OR_RETURN(distances,
                            query_engine_->Distances(rep, config_.num_threads));

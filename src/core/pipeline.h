@@ -56,14 +56,14 @@ struct PipelineConfig {
   /// unchecked (the pre-gate behaviour).
   bool quality_gate = true;
   QualityPolicy quality;
-  /// Warm-started model refresh for the streaming path: Refit() on an
-  /// already-fitted pipeline reuses the fitted feature ranking and
-  /// selection — skipping the selection stage, the dominant cost with
-  /// wrapper selectors — and refits normalisation, representations, and
-  /// scaling models against the new corpus. Off (the default), Refit() is
-  /// exactly Fit(). Predictions after an incremental Refit match a full
-  /// Fit on the same corpus whenever that full fit would select the same
-  /// features (StreamWarmRefitTest pins this).
+  /// Warm-started model refresh for the streaming and serving paths:
+  /// Refit() reuses a fitted FeatureSelection — skipping the selection
+  /// stage, the dominant cost with wrapper selectors — and refits
+  /// normalisation, representations, and scaling models against the new
+  /// corpus, unless the corpus's workload set changed. Off (the default),
+  /// Refit() is exactly Fit(). Predictions after an incremental Refit match
+  /// a full Fit on the same corpus whenever that full fit would select the
+  /// same features (StreamIngestTest pins this).
   bool incremental_refit = false;
 
   /// Range-checks every knob and returns the first violation as
@@ -72,6 +72,21 @@ struct PipelineConfig {
   /// this at entry, so a misconfigured pipeline fails fast with a message
   /// instead of tripping a debug-only DCHECK deep in a stage.
   Status Validate() const;
+};
+
+/// A fitted feature selection as a value: what a refit needs to skip the
+/// selection stage. Serving snapshots and checkpoints carry it, since a
+/// Pipeline itself is not copyable.
+struct FeatureSelection {
+  /// Importance ranking over every feature; the fallback order for
+  /// predict-time feature substitution.
+  FeatureRanking ranking;
+  /// The selected features, in rank order.
+  std::vector<size_t> features;
+  /// Sorted workload names of the gated corpus the selection was fitted on.
+  /// Selection scores features by how well they tell these workloads apart,
+  /// so a corpus with another workload set poses a different problem.
+  std::vector<std::string> workloads;
 };
 
 /// The paper's primary artifact: feature selection → workload similarity →
@@ -99,15 +114,20 @@ class Pipeline {
 
   Status Fit(const ExperimentCorpus& reference);
 
-  /// Refreshes the fitted pipeline against a new reference corpus. With
-  /// `config().incremental_refit` set and a previous successful Fit(), the
-  /// fitted feature ranking and selection carry over and only the
+  /// Fits `reference` starting from `selection`, a fitted pipeline's
+  /// selection() (this one's, another's, or a checkpoint's). With
+  /// `config().incremental_refit` set and the gated corpus holding exactly
+  /// `selection.workloads`, the selection carries over and only the
   /// corpus-dependent stages rerun (quality gate, normalisation,
-  /// representations + similarity engine, scaling models); otherwise this
-  /// is exactly Fit(). On failure the pipeline is unfitted, like a failed
-  /// Fit() — callers who need the old model to survive a failed refresh
-  /// refresh a copy (the serving layer's snapshot path already works that
-  /// way).
+  /// representations + similarity engine, scaling models). Otherwise this
+  /// is exactly Fit(): with the knob off, or when the workload set changed
+  /// and selection must run again. On failure the pipeline is unfitted,
+  /// like a failed Fit() — callers who need the old model to survive a
+  /// failed refresh refit a fresh pipeline (the serving layer's snapshot
+  /// path works that way).
+  Status Refit(const ExperimentCorpus& reference,
+               const FeatureSelection& selection);
+  /// Refit() from this pipeline's own selection; Fit() when unfitted.
   Status Refit(const ExperimentCorpus& reference);
 
   bool fitted() const { return fitted_; }
@@ -123,12 +143,17 @@ class Pipeline {
   // they never dereference unfitted state. Every value- or Status-producing
   // entry point (RankWorkloads, NearestReferences, PredictThroughput)
   // instead reports a descriptive FailedPrecondition when called early.
+  const FeatureSelection& selection() const { return selection_; }
   const std::vector<size_t>& selected_features() const {
-    return selected_features_;
+    return selection_.features;
   }
   /// Full importance ranking behind selected_features() — the fallback
   /// order for predict-time feature substitution.
-  const FeatureRanking& feature_ranking() const { return ranking_; }
+  const FeatureRanking& feature_ranking() const { return selection_.ranking; }
+  /// True when the last successful fit ran the selection stage: every
+  /// Fit(), and a Refit() that could not reuse its selection. False when a
+  /// Refit() carried a selection over.
+  bool reselected() const { return reselected_; }
   const NormalizationContext& normalization() const { return ctx_; }
   /// Per-experiment quality outcome of the last Fit() (empty when the
   /// quality gate is disabled).
@@ -191,8 +216,8 @@ class Pipeline {
  private:
   // Fit stages, shared by Fit() and the warm path of Refit(). GateReference
   // runs stage 0 into fit_report_; SelectFeatures runs stage 1 into
-  // ranking_/selected_features_; FitFromSelection runs stages 2–3 against
-  // the current selection and commits the fitted state.
+  // selection_; FitFromSelection runs stages 2–3 against the current
+  // selection and commits the fitted state.
   Result<ExperimentCorpus> GateReference(const ExperimentCorpus& reference);
   Status SelectFeatures(const ExperimentCorpus& gated);
   Status FitFromSelection(ExperimentCorpus gated);
@@ -215,16 +240,21 @@ class Pipeline {
   Result<PreparedObservation> PrepareObserved(const Experiment& observed) const;
   Result<std::vector<WorkloadDistance>> RankPrepared(
       const PreparedObservation& observation) const;
+  /// Distances from `rep` to each gated reference experiment rebuilt for
+  /// `features`, the effective features of a degraded read, in corpus
+  /// order.
+  Result<Vector> DegradedDistances(const Matrix& rep,
+                                   const std::vector<size_t>& features) const;
   /// A similarity engine over the gated reference corpus rebuilt for
-  /// `features`: the effective features of a degraded read.
+  /// `features`, for a degraded NearestReferences() and its pruned top-k.
   Result<SimilarityQueryEngine> DegradedEngine(
       const std::vector<size_t>& features) const;
 
   PipelineConfig config_;
   bool fitted_ = false;
 
-  std::vector<size_t> selected_features_;
-  FeatureRanking ranking_;
+  FeatureSelection selection_;
+  bool reselected_ = false;
   NormalizationContext ctx_;
   CorpusQualityReport fit_report_;
   // Gated reference corpus, kept to rebuild representations when predict-time

@@ -267,14 +267,74 @@ Result<Experiment> DecodeExperiment(ByteReader& r) {
   return e;
 }
 
+void EncodeSelection(ByteWriter& w, const FeatureSelection& selection) {
+  w.PutU64(selection.ranking.ranks.size());
+  for (int rank : selection.ranking.ranks) w.PutI64(rank);
+  w.PutU64(selection.ranking.scores.size());
+  for (double score : selection.ranking.scores) w.PutDouble(score);
+  w.PutU64(selection.features.size());
+  for (size_t f : selection.features) w.PutU64(f);
+  w.PutU64(selection.workloads.size());
+  for (const std::string& name : selection.workloads) w.PutString(name);
+}
+
+// Besides bounds, checks that the ranks are a 1-based ranking with one score
+// each and that every selected feature is one of the ranked features, so a
+// restore cannot index past the ranking.
+Result<FeatureSelection> DecodeSelection(ByteReader& r) {
+  FeatureSelection selection;
+  WPRED_ASSIGN_OR_RETURN(uint64_t num_ranks, r.GetU64());
+  std::vector<int>& ranks = selection.ranking.ranks;
+  for (uint64_t i = 0; i < num_ranks; ++i) {
+    WPRED_ASSIGN_OR_RETURN(int64_t rank, r.GetI64());
+    if (rank < 1 || static_cast<uint64_t>(rank) > num_ranks) {
+      return Status::IoError(StrFormat(
+          "checkpoint selection holds rank %lld of %llu features",
+          static_cast<long long>(rank),
+          static_cast<unsigned long long>(num_ranks)));
+    }
+    ranks.push_back(static_cast<int>(rank));
+  }
+  WPRED_ASSIGN_OR_RETURN(uint64_t num_scores, r.GetU64());
+  if (num_scores != num_ranks) {
+    return Status::IoError(StrFormat(
+        "checkpoint selection holds %llu scores for %llu ranks",
+        static_cast<unsigned long long>(num_scores),
+        static_cast<unsigned long long>(num_ranks)));
+  }
+  for (uint64_t i = 0; i < num_scores; ++i) {
+    WPRED_ASSIGN_OR_RETURN(double score, r.GetDouble());
+    selection.ranking.scores.push_back(score);
+  }
+  WPRED_ASSIGN_OR_RETURN(uint64_t num_features, r.GetU64());
+  for (uint64_t i = 0; i < num_features; ++i) {
+    WPRED_ASSIGN_OR_RETURN(uint64_t f, r.GetU64());
+    if (f >= num_ranks) {
+      return Status::IoError(StrFormat(
+          "checkpoint selection selects feature %llu of %llu",
+          static_cast<unsigned long long>(f),
+          static_cast<unsigned long long>(num_ranks)));
+    }
+    selection.features.push_back(static_cast<size_t>(f));
+  }
+  WPRED_ASSIGN_OR_RETURN(uint64_t num_workloads, r.GetU64());
+  for (uint64_t i = 0; i < num_workloads; ++i) {
+    WPRED_ASSIGN_OR_RETURN(std::string name, r.GetString());
+    selection.workloads.push_back(std::move(name));
+  }
+  return selection;
+}
+
 }  // namespace
 
 std::string EncodePayload(const PipelineConfig& config,
-                          const ExperimentCorpus& corpus) {
+                          const ExperimentCorpus& corpus,
+                          const FeatureSelection& selection) {
   ByteWriter w;
   EncodeConfig(w, config);
   w.PutU64(corpus.size());
   for (const Experiment& e : corpus.experiments()) EncodeExperiment(w, e);
+  EncodeSelection(w, selection);
   return w.Take();
 }
 
@@ -289,6 +349,7 @@ Result<CheckpointContents> DecodePayload(std::string_view payload) {
     WPRED_ASSIGN_OR_RETURN(Experiment e, DecodeExperiment(r));
     experiments.push_back(std::move(e));
   }
+  WPRED_ASSIGN_OR_RETURN(contents.selection, DecodeSelection(r));
   if (!r.AtEnd()) {
     return Status::IoError("checkpoint payload has trailing bytes");
   }
@@ -299,9 +360,10 @@ Result<CheckpointContents> DecodePayload(std::string_view payload) {
 }  // namespace checkpoint_internal
 
 Status WriteCheckpoint(const std::string& path, const PipelineConfig& config,
-                       const ExperimentCorpus& corpus) {
+                       const ExperimentCorpus& corpus,
+                       const FeatureSelection& selection) {
   const std::string payload =
-      checkpoint_internal::EncodePayload(config, corpus);
+      checkpoint_internal::EncodePayload(config, corpus, selection);
 
   std::string file;
   file.append(checkpoint_internal::kMagic, sizeof(checkpoint_internal::kMagic));

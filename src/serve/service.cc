@@ -18,6 +18,14 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// A published selection carries over only to a refit whose config selects
+// the same way: the same selector, top-k, sub-sample count and
+// representation (MTS ranks resource features only).
+bool SelectsAlike(const PipelineConfig& a, const PipelineConfig& b) {
+  return a.selector == b.selector && a.top_k == b.top_k &&
+         a.subsamples == b.subsamples && a.representation == b.representation;
+}
+
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              Clock::now().time_since_epoch())
@@ -77,15 +85,16 @@ Status PredictionService::StartFromCheckpoint() {
   }
   WPRED_ASSIGN_OR_RETURN(CheckpointContents contents,
                          ReadCheckpoint(config_.checkpoint_path));
-  // Refitting the checkpointed closure reproduces the pre-crash snapshot
-  // bit-identically (deterministic pipeline; DESIGN.md §7/§11).
+  // Refitting the checkpointed closure from its selection reproduces the
+  // pre-crash snapshot bit-identically, warm or cold (deterministic
+  // pipeline; DESIGN.md §7/§11).
   MutexLock refit_lock(refit_mu_);
   obs::Span span("serve.restore");
   WPRED_ASSIGN_OR_RETURN(
       SnapshotPtr snapshot,
-      BuildSnapshot(contents.config,
-                    contents.corpus,
-                    next_epoch_.load(std::memory_order_relaxed)));
+      BuildSnapshot(contents.config, contents.corpus,
+                    next_epoch_.load(std::memory_order_relaxed),
+                    &contents.selection));
   PublishSnapshot(std::move(snapshot));
   LeaveDegraded();
   return Status::OK();
@@ -226,10 +235,15 @@ Status PredictionService::AttemptRefit(const ExperimentCorpus& corpus) {
   if (refit_fault_hook_) {
     WPRED_RETURN_IF_ERROR(refit_fault_hook_());
   }
+  const bool from_published =
+      published_ != nullptr &&
+      SelectsAlike(published_->config, config_.pipeline);
+  const FeatureSelection* selection =
+      from_published ? &published_->pipeline->selection() : nullptr;
   WPRED_ASSIGN_OR_RETURN(
       SnapshotPtr snapshot,
       BuildSnapshot(config_.pipeline, corpus,
-                    next_epoch_.load(std::memory_order_relaxed)));
+                    next_epoch_.load(std::memory_order_relaxed), selection));
   PublishSnapshot(std::move(snapshot));
   return Status::OK();
 }
@@ -238,6 +252,7 @@ void PredictionService::PublishSnapshot(SnapshotPtr snapshot) {
   const auto swap_start = Clock::now();
   const FittedSnapshot& published = *snapshot;
   box_.Publish(snapshot);
+  published_ = std::move(snapshot);
   next_epoch_.fetch_add(1, std::memory_order_relaxed);
   publishes_.fetch_add(1, std::memory_order_relaxed);
   published_at_ns_.store(NowNs(), std::memory_order_relaxed);
@@ -249,10 +264,16 @@ void PredictionService::PublishSnapshot(SnapshotPtr snapshot) {
   WPRED_GAUGE_SET("serve.snapshot.sketch_bins",
                   static_cast<double>(published.pipeline->sketch_bins()));
   WPRED_HIST_RECORD("serve.fit.seconds", published.fit_seconds);
+  if (published.reselected) {
+    WPRED_COUNT_ADD("serve.refit.reselected", 1);
+  } else {
+    WPRED_COUNT_ADD("serve.refit.warm", 1);
+  }
   if (!config_.checkpoint_path.empty()) {
     const Status written =
         WriteCheckpoint(config_.checkpoint_path, published.config,
-                        published.source_corpus);
+                        published.source_corpus,
+                        published.pipeline->selection());
     if (!written.ok()) {
       // A failed checkpoint write must not fail the publish: the snapshot
       // is already serving. Surface through metrics.
@@ -271,7 +292,8 @@ Status PredictionService::WriteCheckpointNow() const {
         "service is cold: nothing to checkpoint");
   }
   return WriteCheckpoint(config_.checkpoint_path, snapshot->config,
-                         snapshot->source_corpus);
+                         snapshot->source_corpus,
+                         snapshot->pipeline->selection());
 }
 
 // --- health -----------------------------------------------------------------

@@ -24,11 +24,13 @@
 //     they pin the current FittedSnapshot through the left-right SnapshotBox
 //     and run the pipeline's const, serial read path — no mutex anywhere.
 //   - A supervisor thread refits in the background, one fit attempt per
-//     request: Pipeline::Fit is a pure function of (config, corpus), so a
-//     retry on the same corpus can only fail again. A failed refit never
-//     takes the service down: the last good snapshot stays live and the
-//     service reports *degraded* (state + reason + obs gauges) until a later
-//     refit succeeds.
+//     request: the fit is a pure function of (config, corpus, selection), so
+//     a retry on the same corpus can only fail again. Under
+//     PipelineConfig::incremental_refit a refit reuses the published
+//     snapshot's feature selection and reselects only when the corpus's
+//     workload set changed. A failed refit never takes the service down: the
+//     last good snapshot stays live and the service reports *degraded*
+//     (state + reason + obs gauges) until a later refit succeeds.
 //   - Admission control bounds concurrent in-flight reads; over the limit
 //     the service sheds with Status::Unavailable instead of queueing
 //     unboundedly and starving the refit thread.
@@ -153,7 +155,8 @@ class PredictionService {
   /// writer.
   Status SupervisedRefit(const ExperimentCorpus& corpus)
       WPRED_EXCLUDES(refit_mu_);
-  /// The fit attempt; publishes and checkpoints on success.
+  /// The fit attempt, warm from published_'s selection when its config
+  /// selects like the service's; publishes and checkpoints on success.
   Status AttemptRefit(const ExperimentCorpus& corpus)
       WPRED_REQUIRES(refit_mu_);
   /// Publishes through box_. SnapshotBox::Publish demands a single draining
@@ -194,6 +197,10 @@ class PredictionService {
   // supervisor and RefitNow callers alike) so SnapshotBox sees one writer.
   Mutex refit_mu_;
   std::function<Status()> refit_fault_hook_ WPRED_GUARDED_BY(refit_mu_);
+  // The snapshot the last publish installed: the writer's own reference to
+  // the selection a refit starts from. Publishing drains readers, so a
+  // refit must not hold a box_ read guard across it.
+  SnapshotPtr published_ WPRED_GUARDED_BY(refit_mu_);
 
   // Supervisor thread + its queue (depth 1: newest corpus wins).
   Mutex queue_mu_;

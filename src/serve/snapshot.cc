@@ -11,7 +11,8 @@ namespace wpred::serve {
 
 Result<SnapshotPtr> BuildSnapshot(const PipelineConfig& config,
                                   const ExperimentCorpus& corpus,
-                                  uint64_t epoch) {
+                                  uint64_t epoch,
+                                  const FeatureSelection* selection) {
   auto snapshot = std::make_shared<FittedSnapshot>();
   snapshot->epoch = epoch;
   snapshot->config = config;
@@ -19,10 +20,13 @@ Result<SnapshotPtr> BuildSnapshot(const PipelineConfig& config,
 
   auto pipeline = std::make_shared<Pipeline>(config);
   const auto start = std::chrono::steady_clock::now();
-  WPRED_RETURN_IF_ERROR(pipeline->Fit(corpus));
+  WPRED_RETURN_IF_ERROR(selection == nullptr
+                            ? pipeline->Fit(corpus)
+                            : pipeline->Refit(corpus, *selection));
   snapshot->fit_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  snapshot->reselected = pipeline->reselected();
   // Pin the read path to the serial (inline, pool-free) execution mode; the
   // determinism contract makes this invisible in results.
   pipeline->set_num_threads(1);

@@ -13,10 +13,12 @@
 // (DESIGN.md §11).
 //
 // A FittedSnapshot freezes everything a prediction needs — the fitted
-// Pipeline (models, similarity engine and its envelopes, feature ranking,
-// normalisation, quality report) plus the exact (config, corpus) closure
-// that produced it. Snapshots are never mutated after construction; a refit
-// builds a brand-new one and publishes it atomically through SnapshotBox.
+// Pipeline (models, similarity engine and its envelopes, feature selection,
+// normalisation, quality report) plus the exact (config, corpus, selection)
+// closure that produced it. Snapshots are never mutated after construction;
+// a refit builds a brand-new one, warm from the published snapshot's
+// selection when the config allows, and publishes it atomically through
+// SnapshotBox.
 //
 // SnapshotBox is a left-right cell: two instance slots, a `lr` selector
 // saying which slot readers should use, and two reader-arrival counters
@@ -41,25 +43,34 @@ struct FittedSnapshot {
   /// (PredictThroughput / NearestReferences / RankWorkloads) are const and
   /// safe to call from any number of threads concurrently.
   std::shared_ptr<const Pipeline> pipeline;
-  /// The exact fit closure — config + reference corpus — this snapshot was
-  /// built from. Checkpointing serialises this closure; restoring refits it
+  /// The exact fit closure — config + reference corpus, plus the selection
+  /// in `pipeline->selection()` — this snapshot was built from.
+  /// Checkpointing serialises this closure; restoring refits it
   /// deterministically, reproducing the snapshot bit-identically.
   PipelineConfig config;
   ExperimentCorpus source_corpus;
-  /// Wall seconds Fit() took (metadata for staleness accounting / benches).
+  /// Whether this snapshot's fit ran feature selection (a cold fit, or a
+  /// refit whose corpus changed the workload set) instead of reusing the
+  /// selection it was built from.
+  bool reselected = false;
+  /// Wall seconds the fit took (metadata for staleness accounting / benches).
   double fit_seconds = 0.0;
 };
 
 using SnapshotPtr = std::shared_ptr<const FittedSnapshot>;
 
 /// Fits `config` on `corpus` and wraps the result in a snapshot tagged with
-/// `epoch`. On success the pipeline's parallelism knob is pinned to 1 so
-/// every later (read-path) call runs inline — zero thread-pool code, zero
-/// locks — which is bit-identical to any other thread count by the
-/// determinism contract. The fit itself still parallelises per `config`.
+/// `epoch`: a cold Pipeline::Fit when `selection` is null, else
+/// Pipeline::Refit from `selection` (warm under config.incremental_refit
+/// unless the workload set changed). On success the pipeline's parallelism
+/// knob is pinned to 1 so every later (read-path) call runs inline — zero
+/// thread-pool code, zero locks — which is bit-identical to any other
+/// thread count by the determinism contract. The fit itself still
+/// parallelises per `config`.
 Result<SnapshotPtr> BuildSnapshot(const PipelineConfig& config,
                                   const ExperimentCorpus& corpus,
-                                  uint64_t epoch);
+                                  uint64_t epoch,
+                                  const FeatureSelection* selection);
 
 /// Left-right publication cell for SnapshotPtr: wait-free readers, one
 /// blocking writer. Acquire() may be called from any thread at any time;

@@ -781,6 +781,12 @@ TEST_F(QualityTest, DegradedMtsDtwReadsMatchRebuiltScan) {
   ExpectDegradedReadsMatchRebuiltScan(config, *corpus_);
 }
 
+TEST_F(QualityTest, DegradedMtsIndependentDtwReadsMatchRebuiltScan) {
+  PipelineConfig config = FastMtsConfig();
+  config.measure = "Independent-DTW";
+  ExpectDegradedReadsMatchRebuiltScan(config, *corpus_);
+}
+
 TEST_F(QualityTest, DegradedHistFpReadsMatchRebuiltScan) {
   PipelineConfig config;
   ASSERT_EQ(config.representation, Representation::kHistFp);

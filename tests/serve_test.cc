@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -43,18 +44,52 @@ class ServeTest : public ::testing::Test {
                /*run=*/5, SimConfig{.duration_s = 30.0, .sample_period_s = 0.5},
                /*base_seed=*/31415)
             .value());
+    // The warm-refit tests' second corpora: the same grid at another seed
+    // (same workloads, another cold selection), and the grid plus TPC-H.
+    config.base_seed = 1;
+    reseeded_ = new ExperimentCorpus(GenerateCorpus(config).value());
+    config.base_seed = WorkbenchConfig{}.base_seed;
+    config.workloads.push_back("TPC-H");
+    widened_ = new ExperimentCorpus(GenerateCorpus(config).value());
   }
   static void TearDownTestSuite() {
     delete corpus_;
     delete observed_;
+    delete reseeded_;
+    delete widened_;
     corpus_ = nullptr;
     observed_ = nullptr;
+    reseeded_ = nullptr;
+    widened_ = nullptr;
   }
 
   static PipelineConfig FastPipeline() {
     PipelineConfig config;
     config.selector = "fANOVA";  // fast, deterministic
     return config;
+  }
+
+  static PipelineConfig WarmPipeline() {
+    PipelineConfig config = FastPipeline();
+    config.incremental_refit = true;
+    return config;
+  }
+
+  static FeatureSelection FittedSelection() {
+    Pipeline pipeline(FastPipeline());
+    EXPECT_TRUE(pipeline.Fit(*corpus_).ok());
+    return pipeline.selection();
+  }
+
+  /// Two reads agree in every bit, features included.
+  static void ExpectSameRead(const Pipeline::Prediction& actual,
+                             const Pipeline::Prediction& expected) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.throughput_tps),
+              std::bit_cast<uint64_t>(expected.throughput_tps));
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.similarity_distance),
+              std::bit_cast<uint64_t>(expected.similarity_distance));
+    EXPECT_EQ(actual.reference_workload, expected.reference_workload);
+    EXPECT_EQ(actual.effective_features, expected.effective_features);
   }
 
   static ServiceConfig FastService() {
@@ -69,10 +104,14 @@ class ServeTest : public ::testing::Test {
 
   static ExperimentCorpus* corpus_;
   static Experiment* observed_;
+  static ExperimentCorpus* reseeded_;
+  static ExperimentCorpus* widened_;
 };
 
 ExperimentCorpus* ServeTest::corpus_ = nullptr;
 Experiment* ServeTest::observed_ = nullptr;
+ExperimentCorpus* ServeTest::reseeded_ = nullptr;
+ExperimentCorpus* ServeTest::widened_ = nullptr;
 
 // --- snapshot box (serial semantics) ----------------------------------------
 
@@ -292,6 +331,143 @@ TEST_F(ServeTest, BackgroundRefitPublishesAsynchronously) {
   EXPECT_EQ(service.publish_count(), 2u);
 }
 
+// --- warm refits ------------------------------------------------------------
+
+// Start on A, refit on B with A's workloads: the service serves exactly
+// Pipeline{Fit(A); Refit(B)}, i.e. A's selection over B, and so does a
+// service restored from the checkpoint that refit wrote.
+TEST_F(ServeTest, WarmRefitServesFitThenRefitBitForBit) {
+  Pipeline cold_a(WarmPipeline());
+  Pipeline cold_b(WarmPipeline());
+  ASSERT_TRUE(cold_a.Fit(*corpus_).ok());
+  ASSERT_TRUE(cold_b.Fit(*reseeded_).ok());
+  ASSERT_EQ(cold_b.selection().workloads, cold_a.selection().workloads);
+  ASSERT_NE(cold_b.selected_features(), cold_a.selected_features())
+      << "B must select differently, or warm and cold refits look alike";
+
+  Pipeline expected(WarmPipeline());
+  ASSERT_TRUE(expected.Fit(*corpus_).ok());
+  ASSERT_TRUE(expected.Refit(*reseeded_).ok());
+  EXPECT_FALSE(expected.reselected());
+  const auto want = expected.PredictThroughput(*observed_, 8);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(want->effective_features, cold_a.selected_features());
+
+  const std::string path = TempPath("warm_refit.ckpt");
+  std::remove(path.c_str());
+  ServiceConfig config = FastService();
+  config.pipeline = WarmPipeline();
+  config.checkpoint_path = path;
+  {
+    PredictionService service(config);
+    ASSERT_TRUE(service.Start(*corpus_).ok());
+    ASSERT_TRUE(service.RefitNow(*reseeded_).ok());
+    const auto served = service.Predict(*observed_, 8);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectSameRead(*served, *want);
+  }
+  {
+    PredictionService restored(config);
+    ASSERT_TRUE(restored.StartFromCheckpoint().ok());
+    const auto served = restored.Predict(*observed_, 8);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectSameRead(*served, *want);
+  }
+  std::remove(path.c_str());
+}
+
+// A refit corpus that adds a workload poses another selection problem: the
+// service selects afresh and serves exactly a cold Fit of it.
+TEST_F(ServeTest, RefitOnNewWorkloadSetReselects) {
+  Pipeline cold(WarmPipeline());
+  ASSERT_TRUE(cold.Fit(*widened_).ok());
+  const auto want = cold.PredictThroughput(*observed_, 8);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  ServiceConfig config = FastService();
+  config.pipeline = WarmPipeline();
+  PredictionService service(config);
+  ASSERT_TRUE(service.Start(*corpus_).ok());
+  ASSERT_TRUE(service.RefitNow(*widened_).ok());
+  const auto served = service.Predict(*observed_, 8);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectSameRead(*served, *want);
+}
+
+// Each publish counts as warm or reselected, and recording those counts
+// changes no served bit.
+TEST_F(ServeTest, PublishesCountWarmOrReselected) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter& warm = registry.GetCounter("serve.refit.warm");
+  const obs::Counter& reselected =
+      registry.GetCounter("serve.refit.reselected");
+  const auto serve_sequence = [](bool metrics) {
+    obs::SetMetricsEnabled(metrics);
+    ServiceConfig config = FastService();
+    config.pipeline = WarmPipeline();
+    PredictionService service(config);
+    EXPECT_TRUE(service.Start(*corpus_).ok());       // selects
+    EXPECT_TRUE(service.RefitNow(*reseeded_).ok());  // warm
+    EXPECT_TRUE(service.RefitNow(*widened_).ok());   // reselects
+    EXPECT_TRUE(service.RefitNow(*widened_).ok());   // warm
+    obs::SetMetricsEnabled(false);
+    return service.Predict(*observed_, 8);
+  };
+  const uint64_t warm_before = warm.value();
+  const uint64_t reselected_before = reselected.value();
+  const auto plain = serve_sequence(false);
+  EXPECT_EQ(warm.value(), warm_before);
+  const auto recorded = serve_sequence(true);
+  EXPECT_EQ(warm.value() - warm_before, 2u);
+  EXPECT_EQ(reselected.value() - reselected_before, 2u);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(recorded.ok());
+  ExpectSameRead(*recorded, *plain);
+  registry.ResetAll();
+}
+
+// With incremental_refit off every refit is a cold Fit.
+TEST_F(ServeTest, ColdConfigRefitsSelectEveryTime) {
+  PredictionService service(FastService());
+  ASSERT_TRUE(service.Start(*corpus_).ok());
+  ASSERT_TRUE(service.RefitNow(*reseeded_).ok());
+  Pipeline cold(FastPipeline());
+  ASSERT_TRUE(cold.Fit(*reseeded_).ok());
+  const auto want = cold.PredictThroughput(*observed_, 8);
+  const auto served = service.Predict(*observed_, 8);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(served.ok());
+  ExpectSameRead(*served, *want);
+}
+
+// A restored snapshot's selection carries over only to refits whose config
+// selects the same way: a service configured for another top-k selects
+// afresh on its first refit.
+TEST_F(ServeTest, RestoredSelectionCarriesOverOnlyToAlikeConfig) {
+  const std::string path = TempPath("alike.ckpt");
+  std::remove(path.c_str());
+  ServiceConfig narrow = FastService();
+  narrow.pipeline = WarmPipeline();
+  narrow.pipeline.top_k = 4;
+  narrow.checkpoint_path = path;
+  {
+    PredictionService service(narrow);
+    ASSERT_TRUE(service.Start(*corpus_).ok());
+  }
+  ServiceConfig wide = narrow;
+  wide.pipeline.top_k = 7;
+  PredictionService service(wide);
+  ASSERT_TRUE(service.StartFromCheckpoint().ok());
+  const auto restored = service.Predict(*observed_, 8);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->effective_features.size(), 4u);
+  ASSERT_TRUE(service.RefitNow(*corpus_).ok());
+  const auto refitted = service.Predict(*observed_, 8);
+  ASSERT_TRUE(refitted.ok());
+  EXPECT_EQ(refitted->effective_features.size(), 7u);
+  std::remove(path.c_str());
+}
+
 // --- admission control ------------------------------------------------------
 
 TEST_F(ServeTest, OverloadShedsWithUnavailable) {
@@ -354,7 +530,8 @@ TEST_F(ServeTest, CheckpointRoundTripsTheFitClosure) {
   config.quality.min_samples = 12;
   config.quality.max_dead_features = 1;
   config.incremental_refit = true;
-  ASSERT_TRUE(WriteCheckpoint(path, config, *corpus_).ok());
+  const FeatureSelection selection = FittedSelection();
+  ASSERT_TRUE(WriteCheckpoint(path, config, *corpus_, selection).ok());
   const auto contents = ReadCheckpoint(path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
   const PipelineConfig& restored_config = contents->config;
@@ -394,6 +571,16 @@ TEST_F(ServeTest, CheckpointRoundTripsTheFitClosure) {
       }
     }
   }
+  const FeatureSelection& restored_selection = contents->selection;
+  EXPECT_EQ(restored_selection.ranking.ranks, selection.ranking.ranks);
+  ASSERT_EQ(restored_selection.ranking.scores.size(),
+            selection.ranking.scores.size());
+  for (size_t f = 0; f < selection.ranking.scores.size(); ++f) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(restored_selection.ranking.scores[f]),
+              std::bit_cast<uint64_t>(selection.ranking.scores[f]));
+  }
+  EXPECT_EQ(restored_selection.features, selection.features);
+  EXPECT_EQ(restored_selection.workloads, selection.workloads);
   std::remove(path.c_str());
 }
 
@@ -463,7 +650,8 @@ TEST_F(ServeTest, MissingCheckpointIsNotFound) {
 
 TEST_F(ServeTest, TruncatedCheckpointIsRejected) {
   const std::string path = TempPath("truncated.ckpt");
-  ASSERT_TRUE(WriteCheckpoint(path, FastPipeline(), *corpus_).ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(path, FastPipeline(), *corpus_, FittedSelection()).ok());
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -484,7 +672,8 @@ TEST_F(ServeTest, TruncatedCheckpointIsRejected) {
 
 TEST_F(ServeTest, BitFlippedCheckpointFailsTheChecksum) {
   const std::string path = TempPath("corrupt.ckpt");
-  ASSERT_TRUE(WriteCheckpoint(path, FastPipeline(), *corpus_).ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(path, FastPipeline(), *corpus_, FittedSelection()).ok());
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -516,11 +705,14 @@ TEST_F(ServeTest, BitFlippedCheckpointFailsTheChecksum) {
 
 TEST_F(ServeTest, NewerFormatVersionIsRejectedNotMisread) {
   // Older layouts are refused the same way: version 1 lacked three config
-  // fields, and version 2 still carried five that version 3 dropped.
-  static_assert(kCheckpointVersion == 3);
+  // fields, version 2 still carried five that version 3 dropped, and
+  // version 3 lacked the feature selection.
+  static_assert(kCheckpointVersion == 4);
   const std::string path = TempPath("version.ckpt");
-  for (const uint32_t version : {kCheckpointVersion + 1, 1u, 2u}) {
-    ASSERT_TRUE(WriteCheckpoint(path, FastPipeline(), *corpus_).ok());
+  const FeatureSelection selection = FittedSelection();
+  for (const uint32_t version : {kCheckpointVersion + 1, 1u, 2u, 3u}) {
+    ASSERT_TRUE(
+        WriteCheckpoint(path, FastPipeline(), *corpus_, selection).ok());
     std::string bytes;
     {
       std::ifstream in(path, std::ios::binary);
@@ -559,8 +751,8 @@ TEST_F(ServeTest, StartFallsBackToColdFitOnCorruptCheckpoint) {
 TEST_F(ServeTest, PayloadDecodeRejectsGarbageWithoutCrashing) {
   const auto decoded = checkpoint_internal::DecodePayload("not a payload");
   EXPECT_FALSE(decoded.ok());
-  const std::string payload =
-      checkpoint_internal::EncodePayload(FastPipeline(), *corpus_);
+  const std::string payload = checkpoint_internal::EncodePayload(
+      FastPipeline(), *corpus_, FittedSelection());
   EXPECT_TRUE(
       checkpoint_internal::DecodePayload(payload).ok());
   // Every strict prefix must fail cleanly (bounds-checked reader).
@@ -569,6 +761,23 @@ TEST_F(ServeTest, PayloadDecodeRejectsGarbageWithoutCrashing) {
     EXPECT_FALSE(
         checkpoint_internal::DecodePayload(payload.substr(0, cut)).ok())
         << "prefix of " << cut << " bytes decoded";
+  }
+}
+
+TEST_F(ServeTest, PayloadDecodeRejectsInconsistentSelection) {
+  const FeatureSelection good = FittedSelection();
+  FeatureSelection rank_zero = good;
+  rank_zero.ranking.ranks[0] = 0;
+  FeatureSelection short_scores = good;
+  short_scores.ranking.scores.pop_back();
+  FeatureSelection unranked_feature = good;
+  unranked_feature.features.push_back(good.ranking.ranks.size());
+  for (const FeatureSelection* bad :
+       {&rank_zero, &short_scores, &unranked_feature}) {
+    const auto decoded = checkpoint_internal::DecodePayload(
+        checkpoint_internal::EncodePayload(FastPipeline(), *corpus_, *bad));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
   }
 }
 
@@ -672,6 +881,68 @@ TEST_F(ServeConcurrencyTest, PredictsStayCorrectAcrossConcurrentRefits) {
   EXPECT_GT(reads, 0);
   EXPECT_EQ(service.snapshot_epoch(), static_cast<uint64_t>(kRefits + 1));
   EXPECT_EQ(service.state(), ServingState::kServing);
+}
+
+// Readers hammer Predict while warm refits publish, alternating between A
+// and B (A's workloads, another cold selection): every read is bit-equal to
+// Pipeline{Fit(A)} or Pipeline{Fit(A); Refit(B)}, whichever was live.
+TEST_F(ServeConcurrencyTest, PredictsStayCorrectAcrossWarmRefits) {
+  Pipeline on_b(WarmPipeline());
+  ASSERT_TRUE(on_b.Fit(*corpus_).ok());
+  ASSERT_TRUE(on_b.Refit(*reseeded_).ok());
+  const auto expected_b = on_b.PredictThroughput(*observed_, 8);
+  ASSERT_TRUE(expected_b.ok());
+
+  ServiceConfig config = FastService();
+  config.pipeline = WarmPipeline();
+  config.max_in_flight = 0;  // any refused read is a bug, not a shed
+  PredictionService service(config);
+  ASSERT_TRUE(service.Start(*corpus_).ok());
+  const auto expected_a = service.Predict(*observed_, 8);
+  ASSERT_TRUE(expected_a.ok());
+  ASSERT_NE(std::bit_cast<uint64_t>(expected_a->throughput_tps),
+            std::bit_cast<uint64_t>(expected_b->throughput_tps));
+
+  const auto same_bits = [](const Pipeline::Prediction& a,
+                            const Pipeline::Prediction& b) {
+    return std::bit_cast<uint64_t>(a.throughput_tps) ==
+               std::bit_cast<uint64_t>(b.throughput_tps) &&
+           a.effective_features == b.effective_features;
+  };
+  constexpr int kReaders = 4;
+  constexpr int kRefitPairs = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> violations{0};
+  std::atomic<int64_t> reads{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto result = service.Predict(*observed_, 8);
+        reads.fetch_add(1);
+        if (!result.ok() || !(same_bits(*result, *expected_a) ||
+                              same_bits(*result, *expected_b))) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kRefitPairs; ++i) {
+    ASSERT_TRUE(service.RefitNow(*reseeded_).ok());
+    ASSERT_TRUE(service.RefitNow(*corpus_).ok());
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(violations, 0);
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(service.snapshot_epoch(),
+            static_cast<uint64_t>(2 * kRefitPairs + 1));
+  // Refitting A from its own selection reproduces the cold fit of A.
+  const auto final_read = service.Predict(*observed_, 8);
+  ASSERT_TRUE(final_read.ok());
+  ExpectSameRead(*final_read, *expected_a);
 }
 
 // A background refit fails while readers hammer Predict: every read is

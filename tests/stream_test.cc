@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 
 #include "common/rng.h"
 #include "core/workbench.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "serve/stream_refit.h"
 #include "sim/hardware.h"
@@ -600,9 +602,17 @@ TEST_F(StreamIngestTest, ReferenceEngineGrowsOnRegimeShift) {
   EXPECT_TRUE(engine->RankNeighbors(*seed_trace, 2).ok());
 }
 
+// Served as the live loop serves: every refit corpus is the base corpus plus
+// a TPC-C window, so the workload set never changes and every refit after
+// the initial fit reuses its selection.
 TEST_F(StreamIngestTest, ConnectIngestDrivesServiceRefits) {
   serve::ServiceConfig service_config;
   service_config.pipeline.selector = "fANOVA";
+  service_config.pipeline.incremental_refit = true;
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter& warm = registry.GetCounter("serve.refit.warm");
+  const uint64_t warm_before = warm.value();
   serve::PredictionService service(service_config);
   ASSERT_TRUE(service.Start(*corpus_).ok());
   const uint64_t initial_epoch = service.snapshot_epoch();
@@ -616,12 +626,19 @@ TEST_F(StreamIngestTest, ConnectIngestDrivesServiceRefits) {
   FeedShift(*ingest, 96);
   ASSERT_GE(ingest->refits_requested(), 1u);
   service.WaitForRefits();
+  obs::SetMetricsEnabled(false);
   EXPECT_GT(service.snapshot_epoch(), initial_epoch);
   EXPECT_EQ(service.state(), serve::ServingState::kServing);
+  EXPECT_EQ(warm.value() - warm_before, service.publish_count() - 1);
+  registry.ResetAll();
 }
 
 // --- warm pipeline refit ----------------------------------------------------
 
+// Refit onto another corpus whose cold fit selects the same features from
+// other scores: the corpus less its first Twitter run. The warm refit keeps
+// the first fit's scores, which tells it from a cold one, and still predicts
+// bit-equal to the cold fit.
 TEST_F(StreamIngestTest, PipelineRefitMatchesFullFitOnStableSelection) {
   PipelineConfig config;
   config.selector = "fANOVA";
@@ -629,24 +646,34 @@ TEST_F(StreamIngestTest, PipelineRefitMatchesFullFitOnStableSelection) {
 
   Pipeline incremental(config);
   ASSERT_TRUE(incremental.Fit(*corpus_).ok());
-  const std::vector<size_t> first_selection = incremental.selected_features();
-  ASSERT_TRUE(incremental.Refit(*corpus_).ok());
-  // The warm path reuses the fitted selection verbatim.
-  EXPECT_EQ(incremental.selected_features(), first_selection);
+  const FeatureSelection first = incremental.selection();
+  std::vector<size_t> keep(corpus_->size());
+  std::iota(keep.begin(), keep.end(), size_t{0});
+  keep.erase(keep.begin() +
+             static_cast<std::ptrdiff_t>(corpus_->IndicesOf("Twitter")[0]));
+  const ExperimentCorpus refit_corpus = corpus_->Subset(keep);
 
   Pipeline cold(config);
-  ASSERT_TRUE(cold.Fit(*corpus_).ok());
+  ASSERT_TRUE(cold.Fit(refit_corpus).ok());
+  ASSERT_EQ(cold.selected_features(), first.features);
+  ASSERT_NE(cold.feature_ranking().scores, first.ranking.scores);
 
-  const Experiment& observed = (*corpus_)[0];
-  const auto warm_prediction = incremental.PredictThroughput(observed, 8);
-  const auto cold_prediction = cold.PredictThroughput(observed, 8);
-  ASSERT_TRUE(warm_prediction.ok()) << warm_prediction.status().ToString();
-  ASSERT_TRUE(cold_prediction.ok());
-  EXPECT_EQ(warm_prediction->throughput_tps, cold_prediction->throughput_tps);
-  EXPECT_EQ(warm_prediction->reference_workload,
-            cold_prediction->reference_workload);
-  EXPECT_EQ(warm_prediction->similarity_distance,
-            cold_prediction->similarity_distance);
+  ASSERT_TRUE(incremental.Refit(refit_corpus).ok());
+  EXPECT_FALSE(incremental.reselected());
+  EXPECT_EQ(incremental.feature_ranking().scores, first.ranking.scores);
+  EXPECT_EQ(incremental.selected_features(), first.features);
+
+  for (const Experiment& observed : corpus_->experiments()) {
+    const auto warm_prediction = incremental.PredictThroughput(observed, 8);
+    const auto cold_prediction = cold.PredictThroughput(observed, 8);
+    ASSERT_TRUE(warm_prediction.ok()) << warm_prediction.status().ToString();
+    ASSERT_TRUE(cold_prediction.ok());
+    EXPECT_EQ(warm_prediction->throughput_tps, cold_prediction->throughput_tps);
+    EXPECT_EQ(warm_prediction->reference_workload,
+              cold_prediction->reference_workload);
+    EXPECT_EQ(warm_prediction->similarity_distance,
+              cold_prediction->similarity_distance);
+  }
 }
 
 TEST_F(StreamIngestTest, PipelineRefitFallsBackToFullFit) {
