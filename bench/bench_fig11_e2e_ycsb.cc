@@ -80,15 +80,18 @@ void PartTwo() {
       RequireOk(pipeline.PredictThroughput(observed, MakeS2().cpus),
                 "prediction");
 
-  // Forced wrong reference: Twitter's pairwise model.
+  // Forced wrong reference: Twitter's pairwise model, transferred through
+  // the same PredictTransitionScaled call the pipeline makes for its pick,
+  // so the two rows differ only in the reference the similarity stage
+  // chose.
   const std::vector<SkuPerfPoint> twitter_points =
       RequireOk(CollectScalingPoints(reference, "Twitter", 8, 10), "points");
   PairwiseScalingModel twitter_model;
   Require(twitter_model.Fit("SVM", twitter_points), "twitter model");
   const double twitter_prediction = RequireOk(
-      twitter_model.PredictTransition(MakeS1().cpus, MakeS2().cpus,
-                                      observed.perf.throughput_tps,
-                                      observed.data_group),
+      twitter_model.PredictTransitionScaled(MakeS1().cpus, MakeS2().cpus,
+                                            observed.perf.throughput_tps,
+                                            observed.data_group),
       "twitter transition");
 
   const double actual = truth.perf.throughput_tps;

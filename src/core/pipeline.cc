@@ -398,24 +398,6 @@ Result<Vector> Pipeline::DegradedDistances(
       });
 }
 
-// The gated reference corpus rebuilt over a degraded read's effective
-// features, which the fitted engine's representations do not match.
-Result<SimilarityQueryEngine> Pipeline::DegradedEngine(
-    const std::vector<size_t>& features) const {
-  WPRED_ASSIGN_OR_RETURN(
-      std::vector<Matrix> rebuilt,
-      ParallelMap<Matrix>(reference_corpus_.size(), config_.num_threads,
-                          [&](size_t i) -> Result<Matrix> {
-                            return BuildRepresentation(
-                                config_.representation, reference_corpus_[i],
-                                features, ctx_);
-                          }));
-  return SimilarityQueryEngine::Build(std::move(rebuilt), config_.measure,
-                                      /*window=*/0, config_.num_threads,
-                                      config_.similarity_shard_traces,
-                                      config_.similarity_sketch_bins);
-}
-
 Result<std::vector<Pipeline::WorkloadDistance>> Pipeline::RankPrepared(
     const PreparedObservation& observation) const {
   obs::Span rank_span("similarity_ranking");
@@ -474,9 +456,22 @@ Result<std::vector<Neighbor>> Pipeline::NearestReferences(
       BuildRepresentation(config_.representation, prepared.experiment(),
                           prepared.features, ctx_));
   if (prepared.degraded) {
-    WPRED_ASSIGN_OR_RETURN(const SimilarityQueryEngine engine,
-                           DegradedEngine(prepared.features));
-    return engine.RankNeighbors(rep, k);
+    // The first k entries of the stable (distance, index) argsort of the
+    // exhaustive scan: by the engine's top-k contract, exactly what an
+    // engine over the rebuilt references would return.
+    WPRED_ASSIGN_OR_RETURN(const Vector distances,
+                           DegradedDistances(rep, prepared.features));
+    std::vector<Neighbor> ranked(distances.size());
+    for (size_t i = 0; i < distances.size(); ++i) {
+      ranked[i] = {i, distances[i]};
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                if (a.distance != b.distance) return a.distance < b.distance;
+                return a.index < b.index;
+              });
+    ranked.resize(std::min(k, ranked.size()));
+    return ranked;
   }
   return query_engine_->RankNeighbors(rep, k);
 }

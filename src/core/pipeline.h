@@ -172,7 +172,9 @@ class Pipeline {
   /// (distance, index). Indices refer to the gated reference corpus (see
   /// reference_workloads() for their workload names). DTW measures run the
   /// lower-bound-pruned cascade of similarity/query.h; the result is
-  /// bit-identical to an exhaustive scan.
+  /// bit-identical to an exhaustive scan. A degraded read ranks that
+  /// exhaustive scan itself, over the references rebuilt for its effective
+  /// features.
   Result<std::vector<Neighbor>> NearestReferences(const Experiment& observed,
                                                   size_t k) const;
 
@@ -245,10 +247,6 @@ class Pipeline {
   /// order.
   Result<Vector> DegradedDistances(const Matrix& rep,
                                    const std::vector<size_t>& features) const;
-  /// A similarity engine over the gated reference corpus rebuilt for
-  /// `features`, for a degraded NearestReferences() and its pruned top-k.
-  Result<SimilarityQueryEngine> DegradedEngine(
-      const std::vector<size_t>& features) const;
 
   PipelineConfig config_;
   bool fitted_ = false;

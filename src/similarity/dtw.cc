@@ -221,25 +221,17 @@ Result<DtwEarlyAbandon> IndependentDtwColsEarlyAbandon(const double* a,
   return DtwEarlyAbandon{total / feature_count, false};
 }
 
-Result<DtwEarlyAbandon> DtwDistanceEarlyAbandon(const Vector& a,
-                                                const Vector& b, int window,
-                                                double cutoff) {
+Result<double> DtwDistance(const Vector& a, const Vector& b, int window) {
   WPRED_RETURN_IF_ERROR(
       CheckFiniteInputs(AllFinite(a), AllFinite(b), "DtwDistance"));
-  return DtwSpanEarlyAbandon(a.data(), a.size(), b.data(), b.size(), window,
-                             cutoff);
-}
-
-Result<double> DtwDistance(const Vector& a, const Vector& b, int window) {
   WPRED_ASSIGN_OR_RETURN(const DtwEarlyAbandon r,
-                         DtwDistanceEarlyAbandon(a, b, window, kInf));
+                         DtwSpanEarlyAbandon(a.data(), a.size(), b.data(),
+                                             b.size(), window, kInf));
   return r.distance;
 }
 
-Result<DtwEarlyAbandon> DependentDtwDistanceEarlyAbandon(const Matrix& a,
-                                                         const Matrix& b,
-                                                         int window,
-                                                         double cutoff) {
+Result<double> DependentDtwDistance(const Matrix& a, const Matrix& b,
+                                    int window) {
   if (a.cols() != b.cols()) {
     return Status::InvalidArgument("feature count mismatch");
   }
@@ -249,39 +241,27 @@ Result<DtwEarlyAbandon> DependentDtwDistanceEarlyAbandon(const Matrix& a,
   // O(m·n·d) lattice below.
   const std::vector<double> ac = a.ColumnMajor();
   const std::vector<double> bc = b.ColumnMajor();
-  return DependentDtwColsEarlyAbandon(ac.data(), a.rows(), bc.data(),
-                                      b.rows(), a.cols(), window, cutoff);
-}
-
-Result<double> DependentDtwDistance(const Matrix& a, const Matrix& b,
-                                    int window) {
-  WPRED_ASSIGN_OR_RETURN(const DtwEarlyAbandon r,
-                         DependentDtwDistanceEarlyAbandon(a, b, window, kInf));
+  WPRED_ASSIGN_OR_RETURN(
+      const DtwEarlyAbandon r,
+      DependentDtwColsEarlyAbandon(ac.data(), a.rows(), bc.data(), b.rows(),
+                                   a.cols(), window, kInf));
   return r.distance;
 }
 
-Result<DtwEarlyAbandon> IndependentDtwDistanceEarlyAbandon(const Matrix& a,
-                                                           const Matrix& b,
-                                                           int window,
-                                                           double cutoff) {
+Result<double> IndependentDtwDistance(const Matrix& a, const Matrix& b,
+                                      int window) {
   if (a.cols() != b.cols()) {
     return Status::InvalidArgument("feature count mismatch");
   }
   if (a.cols() == 0) return Status::InvalidArgument("empty series");
   WPRED_RETURN_IF_ERROR(CheckFiniteInputs(AllFinite(a), AllFinite(b),
                                           "IndependentDtwDistance"));
-  // One transpose per series instead of the old Vector copy per feature.
   const std::vector<double> ac = a.ColumnMajor();
   const std::vector<double> bc = b.ColumnMajor();
-  return IndependentDtwColsEarlyAbandon(ac.data(), a.rows(), bc.data(),
-                                        b.rows(), a.cols(), window, cutoff);
-}
-
-Result<double> IndependentDtwDistance(const Matrix& a, const Matrix& b,
-                                      int window) {
   WPRED_ASSIGN_OR_RETURN(
       const DtwEarlyAbandon r,
-      IndependentDtwDistanceEarlyAbandon(a, b, window, kInf));
+      IndependentDtwColsEarlyAbandon(ac.data(), a.rows(), bc.data(), b.rows(),
+                                     a.cols(), window, kInf));
   return r.distance;
 }
 

@@ -42,35 +42,12 @@ struct DtwEarlyAbandon {
   bool abandoned = false;
 };
 
-/// DtwDistance with a best-so-far cutoff: once every in-band cell on two
-/// consecutive anti-diagonals is >= cutoff² no alignment can finish below
-/// `cutoff` (every warping path crosses one of them and cell costs are
-/// nonnegative), so the rest of the lattice is abandoned. `cutoff` = +inf
-/// never abandons and reproduces DtwDistance exactly.
-Result<DtwEarlyAbandon> DtwDistanceEarlyAbandon(const Vector& a,
-                                                const Vector& b, int window,
-                                                double cutoff);
-
-/// Early-abandoning DependentDtwDistance (same contract).
-Result<DtwEarlyAbandon> DependentDtwDistanceEarlyAbandon(const Matrix& a,
-                                                         const Matrix& b,
-                                                         int window,
-                                                         double cutoff);
-
-/// Early-abandoning IndependentDtwDistance: per-feature kernels are chained
-/// so that once the partial sum of per-feature distances alone forces the
-/// mean over all features to reach `cutoff`, the remaining features are
-/// skipped.
-Result<DtwEarlyAbandon> IndependentDtwDistanceEarlyAbandon(const Matrix& a,
-                                                           const Matrix& b,
-                                                           int window,
-                                                           double cutoff);
-
 // --- Column-major span kernels (DESIGN.md §15) ---
 //
 // The contiguous-span entry points behind the Matrix/Vector wrappers
-// above. The similarity engine calls these directly against its corpus's
-// column-major mirror (SimilarityQueryEngine::col_data), so the hot loop
+// above, which validate their input and run these at cutoff = +inf. The
+// similarity engine calls these directly against its corpus's column-major
+// mirror (SimilarityQueryEngine::col_data), so the hot loop
 // never copies a column per (candidate, feature) pair. The band recurrence
 // runs as an anti-diagonal wavefront of elementwise common/simd passes and
 // stays bit-identical to the textbook row-order loop on every completed
@@ -78,8 +55,12 @@ Result<DtwEarlyAbandon> IndependentDtwDistanceEarlyAbandon(const Matrix& a,
 // accumulation order). Inputs must be finite: the public wrappers
 // validate, the engine validates at Build/RankNeighbors.
 
-/// Univariate DTW over two contiguous spans (same contract as
-/// DtwDistanceEarlyAbandon).
+/// Univariate DTW over two contiguous spans with a best-so-far cutoff: once
+/// every in-band cell on two consecutive anti-diagonals is >= cutoff² no
+/// alignment can finish below `cutoff` (every warping path crosses one of
+/// them and cell costs are nonnegative), so the rest of the lattice is
+/// abandoned. `cutoff` = +inf never abandons and reproduces DtwDistance
+/// exactly.
 Result<DtwEarlyAbandon> DtwSpanEarlyAbandon(const double* a, size_t m,
                                             const double* b, size_t n,
                                             int window, double cutoff);
@@ -94,8 +75,10 @@ Result<DtwEarlyAbandon> DependentDtwColsEarlyAbandon(const double* a,
                                                      int window,
                                                      double cutoff);
 
-/// Independent multivariate DTW over column-major spans, with the same
-/// chained per-feature cutoff as IndependentDtwDistanceEarlyAbandon.
+/// Independent multivariate DTW over column-major spans. The per-feature
+/// kernels are chained: once the partial sum of per-feature distances alone
+/// forces the mean over all features to reach `cutoff`, the remaining
+/// features are skipped.
 Result<DtwEarlyAbandon> IndependentDtwColsEarlyAbandon(const double* a,
                                                        size_t m,
                                                        const double* b,

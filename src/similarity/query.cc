@@ -117,54 +117,6 @@ void BuildEnvelopeColumns(const Matrix& series, int window, double* lower,
 
 }  // namespace query_internal
 
-Status EnvelopeSet::Build(const std::vector<Matrix>& traces, int window,
-                          int num_threads) {
-  lower_.clear();
-  upper_.clear();
-  offsets_.clear();
-  window_ = window;
-  return BuildTail(traces, 0, num_threads);
-}
-
-Status EnvelopeSet::ExtendForAppend(const std::vector<Matrix>& traces,
-                                    size_t old_size, int num_threads) {
-  WPRED_DCHECK_EQ(old_size, offsets_.size());
-  WPRED_DCHECK_LE(old_size, traces.size());
-  const size_t new_count = traces.size() - old_size;
-  if (new_count == 0) return Status::OK();  // empty append: strict no-op
-  WPRED_RETURN_IF_ERROR(BuildTail(traces, old_size, num_threads));
-  WPRED_COUNT_ADD("similarity.envelope.appended",
-                  static_cast<uint64_t>(new_count));
-  return Status::OK();
-}
-
-Status EnvelopeSet::BuildTail(const std::vector<Matrix>& traces,
-                              size_t old_size, int num_threads) {
-  const size_t new_count = traces.size() - old_size;
-  // Grow the arrays at the tail first, so the parallel loop below only does
-  // slot-indexed writes (determinism discipline of DESIGN.md §7). Existing
-  // offsets and envelope data keep their values.
-  size_t total = lower_.size();
-  offsets_.resize(traces.size());
-  for (size_t i = old_size; i < traces.size(); ++i) {
-    offsets_[i] = total;
-    total += traces[i].size();
-  }
-  lower_.resize(total, 0.0);
-  upper_.resize(total, 0.0);
-  WPRED_RETURN_IF_ERROR(
-      ParallelFor(new_count, num_threads, [&](size_t j) -> Status {
-        const size_t i = old_size + j;
-        query_internal::BuildEnvelopeColumns(traces[i], window_,
-                                             lower_.data() + offsets_[i],
-                                             upper_.data() + offsets_[i]);
-        return Status::OK();
-      }));
-  WPRED_COUNT_ADD("similarity.envelope.builds",
-                  static_cast<uint64_t>(new_count));
-  return Status::OK();
-}
-
 Result<SimilarityQueryEngine> SimilarityQueryEngine::Build(
     std::vector<Matrix> corpus, const std::string& measure, int window,
     int num_threads, size_t shard_traces, int sketch_bins) {
@@ -214,11 +166,7 @@ Result<SimilarityQueryEngine> SimilarityQueryEngine::Build(
   engine.shard_traces_ =
       shard_traces == 0 ? kDefaultShardTraces : shard_traces;
   if (engine.kind_ != MeasureKind::kGeneric) {
-    engine.MirrorColumnsFrom(0);
-    WPRED_RETURN_IF_ERROR(
-        engine.envelopes_.Build(engine.corpus_, window, num_threads));
-    WPRED_RETURN_IF_ERROR(engine.sketches_.Build(
-        engine.corpus_,
+    WPRED_RETURN_IF_ERROR(engine.BuildIndex(
         sketch_bins == 0 ? TraceSketchSet::kDefaultBins : sketch_bins,
         num_threads));
   }
@@ -257,32 +205,41 @@ Status SimilarityQueryEngine::AppendTraces(std::vector<Matrix> traces,
   WPRED_COUNT_ADD("similarity.corpus.appended_traces",
                   static_cast<uint64_t>(corpus_.size() - old_size));
   if (kind_ != MeasureKind::kGeneric) {
-    MirrorColumnsFrom(old_size);
-    WPRED_RETURN_IF_ERROR(
-        envelopes_.ExtendForAppend(corpus_, old_size, num_threads));
-    WPRED_RETURN_IF_ERROR(
-        sketches_.ExtendForAppend(corpus_, old_size, num_threads));
+    WPRED_RETURN_IF_ERROR(BuildIndex(sketches_.bins(), num_threads));
   }
   return Status::OK();
 }
 
-void SimilarityQueryEngine::MirrorColumnsFrom(size_t first) {
-  size_t total = cols_.size();
-  col_offsets_.resize(corpus_.size());
-  for (size_t i = first; i < corpus_.size(); ++i) {
-    col_offsets_[i] = total;
+Status SimilarityQueryEngine::BuildIndex(int sketch_bins, int num_threads) {
+  // One offsets vector addresses the mirror and both envelope arrays. Sizing
+  // them up front leaves the parallel loop below only slot-indexed writes
+  // (determinism discipline of DESIGN.md §7).
+  offsets_.resize(corpus_.size());
+  size_t total = 0;
+  for (size_t i = 0; i < corpus_.size(); ++i) {
+    offsets_[i] = total;
     total += corpus_[i].size();
   }
   cols_.resize(total);
-  for (size_t i = first; i < corpus_.size(); ++i) {
-    const Matrix& trace = corpus_[i];
-    double* out = cols_.data() + col_offsets_[i];
-    for (size_t f = 0; f < trace.cols(); ++f) {
-      for (size_t r = 0; r < trace.rows(); ++r) {
-        out[f * trace.rows() + r] = trace(r, f);
-      }
-    }
-  }
+  env_lower_.resize(total);
+  env_upper_.resize(total);
+  WPRED_RETURN_IF_ERROR(
+      ParallelFor(corpus_.size(), num_threads, [&](size_t i) -> Status {
+        const Matrix& trace = corpus_[i];
+        double* out = cols_.data() + offsets_[i];
+        for (size_t f = 0; f < trace.cols(); ++f) {
+          for (size_t r = 0; r < trace.rows(); ++r) {
+            out[f * trace.rows() + r] = trace(r, f);
+          }
+        }
+        query_internal::BuildEnvelopeColumns(trace, window_,
+                                             env_lower_.data() + offsets_[i],
+                                             env_upper_.data() + offsets_[i]);
+        return Status::OK();
+      }));
+  WPRED_COUNT_ADD("similarity.envelope.builds",
+                  static_cast<uint64_t>(corpus_.size()));
+  return sketches_.Build(corpus_, sketch_bins, num_threads);
 }
 
 Result<Vector> SimilarityQueryEngine::Distances(const Matrix& query,
@@ -466,8 +423,8 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
       if (kind_ == MeasureKind::kDependentDtw) {
         lb = std::max(
             std::sqrt(simd::EnvelopeGapSq(query_cols.data(),
-                                          envelopes_.lower(idx),
-                                          envelopes_.upper(idx),
+                                          envelope_lower(idx),
+                                          envelope_upper(idx),
                                           query.size())),
             std::sqrt(simd::EnvelopeGapSq(cand_cols, query_env_lower.data(),
                                           query_env_upper.data(),
@@ -479,8 +436,8 @@ Result<std::vector<Neighbor>> SimilarityQueryEngine::RankNeighbors(
         for (size_t f = 0; f < d; ++f) {
           forward += std::sqrt(
               simd::EnvelopeGapSq(query_cols.data() + f * rows,
-                                  envelopes_.lower(idx) + f * rows,
-                                  envelopes_.upper(idx) + f * rows, rows));
+                                  envelope_lower(idx) + f * rows,
+                                  envelope_upper(idx) + f * rows, rows));
           backward += std::sqrt(
               simd::EnvelopeGapSq(cand_cols + f * rows,
                                   query_env_lower.data() + f * rows,

@@ -47,56 +47,13 @@ struct Neighbor {
   bool operator==(const Neighbor& other) const = default;
 };
 
-/// All LB_Keogh envelopes of one corpus for one window, stored as two flat
-/// column-major arrays (`lower`, `upper`) with a per-trace offset: trace i's
-/// envelope starts at offset[i], laid out exactly like
-/// SimilarityQueryEngine::col_data (column f at offset f·rows), so the SIMD
-/// LB_Keogh kernel (simd::EnvelopeGapSq) consumes query columns, envelope
-/// columns, and the corpus mirror at unit stride. Global corpus indices
-/// address it. Built once per engine (parallel, slot-indexed writes — the
-/// same determinism discipline as PairwiseDistances); after that it changes
-/// only by appending entries for corpus traces appended at the tail.
-class EnvelopeSet {
- public:
-  /// Envelopes of every trace over the band `window` (<= 0 means
-  /// unbounded), parallel over traces, deterministic.
-  Status Build(const std::vector<Matrix>& traces, int window,
-               int num_threads);
-
-  /// Envelopes for the traces appended at indices [old_size,
-  /// traces.size()), against the window given to Build. Each trace's
-  /// envelope depends on that trace alone, so the extended set is
-  /// bit-identical to a rebuild. Empty appends are a strict no-op.
-  /// Single-writer; must not race reads.
-  Status ExtendForAppend(const std::vector<Matrix>& traces, size_t old_size,
-                         int num_threads);
-
-  /// Column-major running min (lower) / max (upper) envelope of corpus
-  /// trace `index` (global index, as in Neighbor): cols blocks of rows
-  /// doubles, same shape as the trace.
-  const double* lower(size_t index) const {
-    return lower_.data() + offsets_[index];
-  }
-  const double* upper(size_t index) const {
-    return upper_.data() + offsets_[index];
-  }
-
- private:
-  // Grows the arrays for traces [old_size, traces.size()) and fills them.
-  Status BuildTail(const std::vector<Matrix>& traces, size_t old_size,
-                   int num_threads);
-
-  std::vector<double> lower_;
-  std::vector<double> upper_;
-  std::vector<size_t> offsets_;  // trace i's start in lower_ and upper_
-  int window_ = 0;
-};
-
 /// Pruned top-k similarity search over an append-only corpus of
 /// representation matrices. Build once per corpus, query many times; the
-/// engine owns its corpus copy, its envelopes and its sketches. AppendTraces
-/// grows the corpus at the tail with results bit-identical to a
-/// from-scratch Build over the concatenated trace list.
+/// engine owns its corpus copy and, for the DTW measures, its index: the
+/// column-major mirror, the LB_Keogh envelopes and the tier-0 sketches.
+/// AppendTraces grows the corpus at the tail and rebuilds that index, so an
+/// appended engine equals a from-scratch Build over the concatenated trace
+/// list in every array.
 ///
 /// Thread safety: Build computes everything a query reads before it
 /// returns, and queries are const, so any number of threads may query one
@@ -131,15 +88,16 @@ class SimilarityQueryEngine {
                                              int sketch_bins = 0);
 
   /// Grows the reference corpus at the tail: validates the new traces
-  /// (nonempty, finite, same feature arity as the existing corpus), appends
-  /// them to the corpus, and extends the column mirror, envelopes and
-  /// sketches — computing them only for the new traces. Queries after an
-  /// append return results bit-identical to an engine Built from scratch
-  /// over the concatenated corpus (pinned by StreamAppendTest). Existing
-  /// global indices never change. Single-writer: must not race concurrent
-  /// queries on the same engine — the streaming layer owns its engine
-  /// exclusively, and serving reads only ever see engines frozen inside
-  /// immutable snapshots.
+  /// (nonempty, finite, same feature arity as the existing corpus) and
+  /// appends them to the corpus. For the DTW measures it then rebuilds the
+  /// whole index at the engine's window and sketch width, O(corpus) work,
+  /// so the appended engine equals one Built from scratch over the
+  /// concatenated corpus (pinned by SimilaritySketchTest and
+  /// StreamAppendTest); generic measures only insert. An empty append is a
+  /// strict no-op. Existing global indices never change. Single-writer:
+  /// must not race concurrent queries on the same engine — the streaming
+  /// layer owns its engine exclusively, and serving reads only ever see
+  /// engines frozen inside immutable snapshots.
   Status AppendTraces(std::vector<Matrix> traces, int num_threads = 0);
 
   /// The k nearest corpus entries to `query`, ascending by (distance,
@@ -166,8 +124,19 @@ class SimilarityQueryEngine {
   /// which the row-major Matrix would give only by a strided walk or a
   /// copy. A bitwise copy, so both layouts always hold identical values.
   const double* col_data(size_t index) const {
-    return cols_.data() + col_offsets_[index];
+    return cols_.data() + offsets_[index];
   }
+  /// Column-major running min (lower) / max (upper) LB_Keogh envelope of
+  /// corpus trace `index` over the engine's window (DTW measures only),
+  /// laid out exactly like col_data(index).
+  const double* envelope_lower(size_t index) const {
+    return env_lower_.data() + offsets_[index];
+  }
+  const double* envelope_upper(size_t index) const {
+    return env_upper_.data() + offsets_[index];
+  }
+  /// Tier-0 sketches of the corpus (DTW measures only).
+  const TraceSketchSet& sketches() const { return sketches_; }
   const std::string& measure() const { return measure_; }
   int window() const { return window_; }
   /// Effective sketch histogram width; 0 for the generic measures, which
@@ -179,19 +148,22 @@ class SimilarityQueryEngine {
 
   SimilarityQueryEngine() = default;
 
-  // Appends the column-major copies of traces [first, corpus size) to the
-  // mirror.
-  void MirrorColumnsFrom(size_t first);
+  // Builds the DTW index over the whole corpus: one offsets vector, one
+  // slot-indexed ParallelFor over traces filling the mirror and the
+  // envelopes at window_, then the sketch set at `sketch_bins` (>= 2).
+  Status BuildIndex(int sketch_bins, int num_threads);
 
   std::vector<Matrix> corpus_;
   size_t shard_traces_ = kDefaultShardTraces;
   std::string measure_;
   int window_ = 0;
   MeasureKind kind_ = MeasureKind::kGeneric;
-  // DTW measures only: the column-major mirror, trace i at col_offsets_[i].
+  // DTW measures only: the column-major mirror and the two envelope arrays,
+  // trace i at offsets_[i] in each.
   std::vector<double> cols_;
-  std::vector<size_t> col_offsets_;
-  EnvelopeSet envelopes_;    // DTW measures only
+  std::vector<double> env_lower_;
+  std::vector<double> env_upper_;
+  std::vector<size_t> offsets_;
   TraceSketchSet sketches_;  // DTW measures only
 };
 
@@ -199,12 +171,12 @@ namespace query_internal {
 
 /// Envelope of `series` over the band (window <= 0 means unbounded) into
 /// caller-owned column-major storage: writes series.size() doubles each at
-/// `lower`/`upper`, column f at offset f·rows — the layout EnvelopeSet and
-/// SimilarityQueryEngine::col_data share — with upper / lower = max / min of
-/// column f over rows [i-b, i+b]. A branch-light van Herk / Gil-Werman
-/// block prefix/suffix max that autovectorizes; it computes the exact
-/// windowed min/max (no arithmetic, only comparisons), so it equals the
-/// Lemire monotonic-deque oracle bitwise — pinned by SimdTest.
+/// `lower`/`upper`, column f at offset f·rows — the layout of
+/// SimilarityQueryEngine::col_data and its envelopes — with upper / lower =
+/// max / min of column f over rows [i-b, i+b]. A branch-light van Herk /
+/// Gil-Werman block prefix/suffix max that autovectorizes; it computes the
+/// exact windowed min/max (no arithmetic, only comparisons), so it equals
+/// the Lemire monotonic-deque oracle bitwise — pinned by SimdTest.
 void BuildEnvelopeColumns(const Matrix& series, int window, double* lower,
                           double* upper);
 

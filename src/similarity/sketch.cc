@@ -133,8 +133,8 @@ void BuildSketchRecord(const Matrix& series, const Vector& lo,
       const double v = series(r, f);
       mn = std::min(mn, v);
       mx = std::max(mx, v);
-      // HistFpBin clamps both edges, so out-of-frame values (appends past
-      // the frozen frame) land in the unbounded edge bins.
+      // HistFpBin clamps both edges, so out-of-frame values (query values
+      // past the corpus's frame) land in the unbounded edge bins.
       f_counts[representation_internal::HistFpBin((v - frame_lo) * inv_width,
                                                   bins)] += 1.0;
       const size_t s = SegOfRow(r, m, segments);
@@ -179,7 +179,7 @@ Status TraceSketchSet::Build(const std::vector<Matrix>& traces, int bins,
   }
   const size_t d = traces[0].cols();
   layout_ = SketchLayout{d, bins, kSegments};
-  // Frozen frame: per-feature min/max over the whole corpus.
+  // Value frame: per-feature min/max over the whole corpus.
   lo_.assign(d, kInf);
   hi_.assign(d, -kInf);
   for (const Matrix& trace : traces) {
@@ -190,33 +190,18 @@ Status TraceSketchSet::Build(const std::vector<Matrix>& traces, int bins,
       }
     }
   }
-  records_.clear();
-  return ExtendForAppend(traces, 0, num_threads);
-}
-
-Status TraceSketchSet::ExtendForAppend(const std::vector<Matrix>& traces,
-                                       size_t old_size, int num_threads) {
-  WPRED_DCHECK(built());
-  WPRED_DCHECK_EQ(old_size * layout_.stride(), records_.size());
-  WPRED_DCHECK_LE(old_size, traces.size());
-  const size_t new_count = traces.size() - old_size;
-  if (new_count == 0) return Status::OK();  // empty append: strict no-op
-  // Grow the records at the tail first, so the parallel loop below only
-  // does slot-indexed writes (determinism discipline of DESIGN.md §7). The
-  // frame stays FROZEN: appended traces sketch against the original value
-  // frame, so pruning decisions may differ from a rebuild — results never
-  // do (the bound is admissible either way).
+  // Size the records first, so the parallel loop below only does
+  // slot-indexed writes (determinism discipline of DESIGN.md §7).
   const size_t stride = layout_.stride();
   records_.resize(traces.size() * stride);
   WPRED_RETURN_IF_ERROR(
-      ParallelFor(new_count, num_threads, [&](size_t j) -> Status {
-        const size_t i = old_size + j;
+      ParallelFor(traces.size(), num_threads, [&](size_t i) -> Status {
         sketch_internal::BuildSketchRecord(traces[i], lo_, hi_, layout_,
                                            records_.data() + i * stride);
         return Status::OK();
       }));
   WPRED_COUNT_ADD("similarity.sketch.built",
-                  static_cast<uint64_t>(new_count));
+                  static_cast<uint64_t>(traces.size()));
   return Status::OK();
 }
 

@@ -12,11 +12,11 @@
 // A per-trace sketch small enough that the whole corpus's sketches stream
 // through cache, carrying enough structure to lower-bound the DTW distance
 // before ANY O(m·d) work: per feature the endpoints (LB_Kim's cells), the
-// value range, an equi-width histogram fingerprint over a frozen per-engine
-// value frame (reusing representation_internal::HistFpBin, so the edge
-// policy matches Hist-FP exactly), a precomputed table of squared gaps from
-// each histogram bin to the trace's nearest occupied bin, and a PAA
-// (piecewise aggregate) min/max profile per segment.
+// value range, an equi-width histogram fingerprint over the corpus's
+// per-feature value frame (reusing representation_internal::HistFpBin, so
+// the edge policy matches Hist-FP exactly), a precomputed table of squared
+// gaps from each histogram bin to the trace's nearest occupied bin, and a
+// PAA (piecewise aggregate) min/max profile per segment.
 //
 // The combined bound is the max of four admissible DTW lower bounds:
 //
@@ -28,7 +28,7 @@
 //           summing per-row guarantees gives Σ_f <q_counts_f, c_gapsq_f> —
 //           two d·bins dot products per pair. Edge bins are conceptually
 //           unbounded (HistFpBin clamps out-of-frame values into them), so
-//           the bound survives value drift past the frozen frame.
+//           the bound also holds for queries whose values leave the frame.
 //   paa   — same per-row argument against the candidate's PAA profile: a
 //           query row in segment s aligns, under the Sakoe-Chiba band the
 //           kernel will use, only to candidate rows inside a computable
@@ -42,13 +42,6 @@
 // candidates whose true distance provably exceeds the cutoff and the
 // engine's bit-identical-top-k contract is untouched.
 //
-// The value frame (per-feature min/max) is frozen when the sketch set is
-// first built and reused verbatim by ExtendForAppend: appended traces are
-// sketched against the ORIGINAL frame. A rebuilt engine would freeze a
-// different frame and so make different pruning decisions — but pruning
-// decisions never change results, so appended engines stay query-identical
-// to rebuilds (pinned by SimilaritySketchTest).
-
 namespace wpred {
 
 /// Field offsets of one flat sketch record. A record is `stride()` doubles:
@@ -92,9 +85,8 @@ struct SketchBound {
 };
 
 /// Sketches of one corpus, stored as one flat array of fixed-stride records
-/// in corpus order (global corpus indices address it, like EnvelopeSet).
-/// Built once per engine; grown at the tail on append (single-writer, same
-/// contract as EnvelopeSet::ExtendForAppend).
+/// in corpus order (global corpus indices address it). The engine builds it
+/// over its whole corpus, at Build and again after every append.
 class TraceSketchSet {
  public:
   /// Default histogram bins per feature; segments is fixed. Eight of each
@@ -110,30 +102,22 @@ class TraceSketchSet {
   const SketchLayout& layout() const { return layout_; }
   int bins() const { return layout_.bins; }
 
-  /// Freezes the per-feature value frame from `traces` and sketches every
-  /// trace (parallel over traces, slot-indexed, deterministic).
-  /// `bins` must be >= 2.
+  /// Takes the per-feature value frame (min/max) over `traces` and sketches
+  /// every trace against it (parallel over traces, slot-indexed,
+  /// deterministic). `bins` must be >= 2.
   Status Build(const std::vector<Matrix>& traces, int bins, int num_threads);
-
-  /// Sketches traces [old_size, traces.size()) against the FROZEN frame.
-  /// Empty appends are a strict no-op. Single-writer; must not race reads.
-  Status ExtendForAppend(const std::vector<Matrix>& traces, size_t old_size,
-                         int num_threads);
 
   /// Record of corpus trace `index` (global index).
   const double* At(size_t index) const {
     return records_.data() + index * layout_.stride();
   }
 
-  /// Builds a query-side record against the frozen frame.
+  /// Builds a query-side record against the corpus's frame.
   std::vector<double> SketchSeries(const Matrix& series) const;
-
-  const Vector& frame_lo() const { return lo_; }
-  const Vector& frame_hi() const { return hi_; }
 
  private:
   SketchLayout layout_;
-  Vector lo_, hi_;  // frozen per-feature frame (size = features)
+  Vector lo_, hi_;  // per-feature value frame (size = features)
   std::vector<double> records_;  // trace i's record at i · stride
 };
 

@@ -19,8 +19,8 @@
 //    min/max, as van Herk does, so the two agree bitwise;
 //  - the row-major LB_Kim and LB_Keogh bounds. The engine computes LB_Kim
 //    as the sketch bound's `kim` component and LB_Keogh as simd::
-//    EnvelopeGapSq over its EnvelopeSet; both match these to within
-//    reassociation.
+//    EnvelopeGapSq over its flat envelope arrays; both match these to
+//    within reassociation.
 //  - the row-at-a-time logistic-regression fit: each (row, class) score is
 //    one serial chain over the features. The production fit runs those
 //    chains in lanes across rows with the same per-row order, so weights,

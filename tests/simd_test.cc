@@ -136,12 +136,15 @@ TEST(SimdTest, DtwDistancesBitIdenticalAcrossModes) {
     const size_t d = 1 + trial % 4;
     const Matrix a = RandomSeries(rng, m, d);
     const Matrix b = RandomSeries(rng, n, d);
+    const std::vector<double> ac = a.ColumnMajor();
+    const std::vector<double> bc = b.ColumnMajor();
     for (const int window : {0, 2}) {
       for (const double cutoff : {kInf, 1.5, 0.4}) {
-        const Result<DtwEarlyAbandon> dep_wave =
-            DependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
+        const Result<DtwEarlyAbandon> dep_wave = DependentDtwColsEarlyAbandon(
+            ac.data(), m, bc.data(), n, d, window, cutoff);
         const Result<DtwEarlyAbandon> ind_wave =
-            IndependentDtwDistanceEarlyAbandon(a, b, window, cutoff);
+            IndependentDtwColsEarlyAbandon(ac.data(), m, bc.data(), n, d,
+                                           window, cutoff);
         const Result<DtwEarlyAbandon> dep_row =
             reference::DependentDtw(a, b, window, cutoff);
         const Result<DtwEarlyAbandon> ind_row =

@@ -169,17 +169,16 @@ TEST(SimilarityQueryTest, UnequalLengthsStayExact) {
 }
 
 TEST(EnvelopeTest, ContainsSeriesAndRespectsWindow) {
-  // The engine's envelopes (EnvelopeSet, column-major) against a brute-force
-  // windowed min/max.
+  // The engine's envelope kernel (BuildEnvelopeColumns, column-major)
+  // against a brute-force windowed min/max.
   Rng rng(41);
   const Matrix series = RandomSeries(rng, 20, 3);
-  const std::vector<Matrix> corpus{series};
   const size_t rows = series.rows();
   for (const int window : {0, 1, 5}) {
-    EnvelopeSet envelopes;
-    ASSERT_TRUE(envelopes.Build(corpus, window, /*num_threads=*/1).ok());
-    const double* lower = envelopes.lower(0);
-    const double* upper = envelopes.upper(0);
+    std::vector<double> lower(series.size());
+    std::vector<double> upper(series.size());
+    query_internal::BuildEnvelopeColumns(series, window, lower.data(),
+                                         upper.data());
     const size_t band =
         window > 0 ? static_cast<size_t>(window) : series.rows();
     for (size_t i = 0; i < series.rows(); ++i) {
@@ -202,8 +201,8 @@ TEST(EnvelopeTest, ContainsSeriesAndRespectsWindow) {
 
 TEST(LowerBoundTest, KimAndKeoghBoundTrueDistance) {
   // The bounds as the engine computes them — LB_Kim as the sketch bound's
-  // kim component, LB_Keogh as simd::EnvelopeGapSq against an EnvelopeSet
-  // entry — must equal the row-major reference bounds to within
+  // kim component, LB_Keogh as simd::EnvelopeGapSq against a
+  // BuildEnvelopeColumns envelope — must equal the row-major reference bounds to within
   // reassociation, and never exceed the true DTW distance.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -216,8 +215,10 @@ TEST(LowerBoundTest, KimAndKeoghBoundTrueDistance) {
     const std::vector<double> a_cols = a.ColumnMajor();
     const size_t rows = a.rows();
     for (const int window : {0, 2, 4}) {
-      EnvelopeSet envelopes;
-      ASSERT_TRUE(envelopes.Build(corpus, window, /*num_threads=*/1).ok());
+      std::vector<double> lower(b.size());
+      std::vector<double> upper(b.size());
+      query_internal::BuildEnvelopeColumns(b, window, lower.data(),
+                                           upper.data());
       const reference::SeriesEnvelope env_b =
           reference::BuildEnvelope(b, window);
       const double kim_dep =
@@ -229,12 +230,12 @@ TEST(LowerBoundTest, KimAndKeoghBoundTrueDistance) {
                                  sketches.layout(), window)
               .kim;
       const double keogh_dep = std::sqrt(simd::EnvelopeGapSq(
-          a_cols.data(), envelopes.lower(0), envelopes.upper(0), a.size()));
+          a_cols.data(), lower.data(), upper.data(), a.size()));
       double keogh_ind = 0.0;
       for (size_t f = 0; f < a.cols(); ++f) {
         keogh_ind += std::sqrt(simd::EnvelopeGapSq(
-            a_cols.data() + f * rows, envelopes.lower(0) + f * rows,
-            envelopes.upper(0) + f * rows, rows));
+            a_cols.data() + f * rows, lower.data() + f * rows,
+            upper.data() + f * rows, rows));
       }
       keogh_ind /= static_cast<double>(a.cols());
 
@@ -261,13 +262,15 @@ TEST(EarlyAbandonTest, InfiniteCutoffMatchesPlainKernel) {
     Rng rng(seed);
     const Matrix a = RandomSeries(rng, 12, 3);
     const Matrix b = RandomSeries(rng, 9, 3);
+    const std::vector<double> ac = a.ColumnMajor();
+    const std::vector<double> bc = b.ColumnMajor();
     const Result<DtwEarlyAbandon> dep =
-        DependentDtwDistanceEarlyAbandon(a, b, 0, kInf);
+        DependentDtwColsEarlyAbandon(ac.data(), 12, bc.data(), 9, 3, 0, kInf);
     ASSERT_TRUE(dep.ok());
     EXPECT_FALSE(dep->abandoned);
     EXPECT_EQ(dep->distance, DependentDtwDistance(a, b).value());
-    const Result<DtwEarlyAbandon> ind =
-        IndependentDtwDistanceEarlyAbandon(a, b, 0, kInf);
+    const Result<DtwEarlyAbandon> ind = IndependentDtwColsEarlyAbandon(
+        ac.data(), 12, bc.data(), 9, 3, 0, kInf);
     ASSERT_TRUE(ind.ok());
     EXPECT_FALSE(ind->abandoned);
     EXPECT_EQ(ind->distance, IndependentDtwDistance(a, b).value());
@@ -279,12 +282,14 @@ TEST(EarlyAbandonTest, TinyCutoffAbandons) {
   const Matrix a = RandomSeries(rng, 15, 2);
   Matrix b = a;
   for (double& v : b.data()) v += 2.0;  // uniformly far away
+  const std::vector<double> ac = a.ColumnMajor();
+  const std::vector<double> bc = b.ColumnMajor();
   const Result<DtwEarlyAbandon> dep =
-      DependentDtwDistanceEarlyAbandon(a, b, 0, 1e-6);
+      DependentDtwColsEarlyAbandon(ac.data(), 15, bc.data(), 15, 2, 0, 1e-6);
   ASSERT_TRUE(dep.ok());
   EXPECT_TRUE(dep->abandoned);
-  const Result<DtwEarlyAbandon> ind =
-      IndependentDtwDistanceEarlyAbandon(a, b, 0, 1e-6);
+  const Result<DtwEarlyAbandon> ind = IndependentDtwColsEarlyAbandon(
+      ac.data(), 15, bc.data(), 15, 2, 0, 1e-6);
   ASSERT_TRUE(ind.ok());
   EXPECT_TRUE(ind->abandoned);
   // The exact distance at the same inputs is far above the cutoff, so
@@ -612,19 +617,20 @@ TEST(SimilarityQueryTest, ConcurrentReadsMatchExhaustive) {
   }
 }
 
-TEST(EnvelopeSetTest, MatchesPerTraceBuild) {
-  // The flat arrays must address exactly the same envelope a per-trace
-  // build would produce for each global index.
+TEST(EnvelopeTest, EngineArraysMatchPerTraceBuild) {
+  // The engine's flat envelope arrays must address exactly the same
+  // envelope a per-trace build would produce for each global index.
   const std::vector<Matrix> corpus = RandomCorpus(141, 11, 6, 2);
-  EnvelopeSet set;
-  ASSERT_TRUE(set.Build(corpus, /*window=*/2, /*num_threads=*/4).ok());
+  const Result<SimilarityQueryEngine> engine = SimilarityQueryEngine::Build(
+      corpus, "Dependent-DTW", /*window=*/2, /*num_threads=*/4);
+  ASSERT_TRUE(engine.ok());
   for (size_t i = 0; i < corpus.size(); ++i) {
     const reference::SeriesEnvelope expected =
         reference::BuildEnvelope(corpus[i], /*window=*/2);
     // The flat arrays are column-major (column f at offset f·rows), matching
     // SimilarityQueryEngine::col_data.
-    const double* lower = set.lower(i);
-    const double* upper = set.upper(i);
+    const double* lower = engine->envelope_lower(i);
+    const double* upper = engine->envelope_upper(i);
     const size_t rows = corpus[i].rows();
     for (size_t f = 0; f < corpus[i].cols(); ++f) {
       for (size_t r = 0; r < rows; ++r) {

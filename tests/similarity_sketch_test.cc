@@ -2,12 +2,14 @@
 // be admissible against the true DTW distance for every measure, window,
 // and shape; sketch-driven pruning must leave the engine's top-k
 // bit-identical to an exhaustive scan (including exact ties crossing the
-// prune boundary); appended sketch sets must stay query-identical to
-// rebuilds (frozen value frame); and empty appends must be strict no-ops.
+// prune boundary); an appended engine must equal a rebuild in every index
+// array; and empty appends must be strict no-ops.
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -197,10 +199,9 @@ TEST(SimilaritySketchTest, TopKBitIdenticalWithSketchPruningAndTies) {
 }
 
 TEST(SimilaritySketchTest, AppendedEngineMatchesRebuild) {
-  // AppendTraces sketches new traces against the FROZEN value frame, so an
-  // appended engine makes different pruning decisions than a rebuild — but
-  // must return bit-identical results. Appended values deliberately leave
-  // the original frame (x5 + offset) to exercise the unbounded edge bins.
+  // An appended engine must return bit-identical results to a rebuild.
+  // Appended values deliberately leave the original frame (x5 + offset), so
+  // the sketch frame has to grow with the corpus.
   const std::vector<Matrix> initial = RandomCorpus(101, 14, 9, 2);
   std::vector<Matrix> appended = RandomCorpus(102, 9, 9, 2);
   for (Matrix& m : appended) {
@@ -232,35 +233,96 @@ TEST(SimilaritySketchTest, AppendedEngineMatchesRebuild) {
   }
 }
 
+bool BitsEqual(const double* a, const double* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+TEST(SimilaritySketchTest, AppendedEngineIsARebuild) {
+  // An append rebuilds the whole DTW index, so the appended engine equals a
+  // fresh Build of the concatenation in every array — the column mirror,
+  // the envelopes and the sketch records — and so prunes exactly as the
+  // rebuild does. The tail's values leave the head's frame (x5 + offset):
+  // sketches against a frame taken from the head alone would differ.
+  const std::vector<Matrix> head = RandomCorpus(131, 12, 9, 2);
+  std::vector<Matrix> tail = RandomCorpus(132, 8, 9, 2);
+  for (Matrix& m : tail) {
+    for (double& v : m.data()) v = v * 5.0 - 2.0;
+  }
+  std::vector<Matrix> full = head;
+  full.insert(full.end(), tail.begin(), tail.end());
+  Rng rng(133);
+  const Matrix query = RandomSeries(rng, 9, 2);
+  const char* const kCounters[] = {
+      "similarity.query.exact",        "similarity.lb.pruned",
+      "similarity.lb.kim_pruned",      "similarity.lb.keogh_pruned",
+      "similarity.sketch.pruned",      "similarity.dtw.abandoned_candidates",
+      "similarity.dtw.cells_in_band"};
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto prune_counters = [&](const SimilarityQueryEngine& engine) {
+    registry.ResetAll();
+    EXPECT_TRUE(engine.RankNeighbors(query, 3).ok());
+    std::vector<uint64_t> values;
+    for (const char* name : kCounters) {
+      values.push_back(registry.GetCounter(name).value());
+    }
+    return values;
+  };
+  obs::SetMetricsEnabled(true);
+  for (const char* measure : {"Dependent-DTW", "Independent-DTW"}) {
+    for (const int window : {0, 2}) {
+      SCOPED_TRACE(std::string(measure) + " window=" +
+                   std::to_string(window));
+      auto grown = SimilarityQueryEngine::Build(head, measure, window,
+                                                /*num_threads=*/2,
+                                                /*shard_traces=*/4,
+                                                /*sketch_bins=*/6);
+      ASSERT_TRUE(grown.ok());
+      ASSERT_TRUE(grown->AppendTraces(tail, /*num_threads=*/2).ok());
+      const auto rebuilt = SimilarityQueryEngine::Build(
+          full, measure, window, /*num_threads=*/1, /*shard_traces=*/4,
+          /*sketch_bins=*/6);
+      ASSERT_TRUE(rebuilt.ok());
+      ASSERT_EQ(grown->corpus().size(), full.size());
+      EXPECT_EQ(grown->num_shards(), rebuilt->num_shards());
+      EXPECT_EQ(grown->sketch_bins(), rebuilt->sketch_bins());
+      const size_t stride = rebuilt->sketches().layout().stride();
+      ASSERT_EQ(grown->sketches().layout().stride(), stride);
+      for (size_t i = 0; i < full.size(); ++i) {
+        const size_t size = full[i].size();
+        EXPECT_TRUE(BitsEqual(grown->col_data(i), rebuilt->col_data(i), size))
+            << "mirror " << i;
+        EXPECT_TRUE(BitsEqual(grown->envelope_lower(i),
+                              rebuilt->envelope_lower(i), size))
+            << "lower envelope " << i;
+        EXPECT_TRUE(BitsEqual(grown->envelope_upper(i),
+                              rebuilt->envelope_upper(i), size))
+            << "upper envelope " << i;
+        EXPECT_TRUE(BitsEqual(grown->sketches().At(i),
+                              rebuilt->sketches().At(i), stride))
+            << "sketch " << i;
+      }
+      EXPECT_EQ(prune_counters(*grown), prune_counters(*rebuilt));
+      EXPECT_EQ(grown->RankNeighbors(query, 3).value(),
+                rebuilt->RankNeighbors(query, 3).value());
+    }
+  }
+  obs::SetMetricsEnabled(false);
+  registry.ResetAll();
+}
+
 TEST(SimilaritySketchTest, EmptyAppendIsStrictNoOp) {
-  // Empty batches must not move the envelope or sketch arrays, change the
-  // shard count, or change any result.
+  // An empty batch must not move the engine's arrays, change the shard
+  // count, or change any result.
   const std::vector<Matrix> traces = RandomCorpus(111, 7, 8, 2);
-
-  TraceSketchSet sketches;
-  ASSERT_TRUE(sketches.Build(traces, /*bins=*/4, /*num_threads=*/1).ok());
-  const double* sketch_before = sketches.At(0);
-  ASSERT_TRUE(
-      sketches.ExtendForAppend(traces, traces.size(), /*num_threads=*/1)
-          .ok());
-  EXPECT_EQ(sketches.At(0), sketch_before);
-
-  EnvelopeSet envelopes;
-  ASSERT_TRUE(envelopes.Build(traces, /*window=*/2, /*num_threads=*/1).ok());
-  const double* lower_before = envelopes.lower(0);
-  const double* upper_before = envelopes.upper(0);
-  ASSERT_TRUE(
-      envelopes.ExtendForAppend(traces, traces.size(), /*num_threads=*/1)
-          .ok());
-  EXPECT_EQ(envelopes.lower(0), lower_before);
-  EXPECT_EQ(envelopes.upper(0), upper_before);
-
   auto engine = SimilarityQueryEngine::Build(
       traces, "Dependent-DTW", /*window=*/2, /*num_threads=*/1,
       /*shard_traces=*/3);
   ASSERT_TRUE(engine.ok());
   const size_t shards_before = engine->num_shards();
   const double* cols_before = engine->col_data(0);
+  const double* lower_before = engine->envelope_lower(0);
+  const double* upper_before = engine->envelope_upper(0);
+  const double* sketch_before = engine->sketches().At(0);
   Rng rng(112);
   const Matrix query = RandomSeries(rng, 8, 2);
   const auto before = engine->RankNeighbors(query, 3);
@@ -269,6 +331,9 @@ TEST(SimilaritySketchTest, EmptyAppendIsStrictNoOp) {
   EXPECT_EQ(engine->num_shards(), shards_before);
   EXPECT_EQ(engine->corpus().size(), traces.size());
   EXPECT_EQ(engine->col_data(0), cols_before);
+  EXPECT_EQ(engine->envelope_lower(0), lower_before);
+  EXPECT_EQ(engine->envelope_upper(0), upper_before);
+  EXPECT_EQ(engine->sketches().At(0), sketch_before);
   const auto after = engine->RankNeighbors(query, 3);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*before, *after);

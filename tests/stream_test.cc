@@ -298,8 +298,8 @@ TEST(StreamAppendTest, AppendedEngineMatchesFromScratchBuild) {
           Result<SimilarityQueryEngine> grown = SimilarityQueryEngine::Build(
               head, measure, /*window=*/3, threads, shard_traces);
           ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-          // Query before appending — the append must extend the engine's
-          // envelopes and sketches in place, not rebuild them.
+          // Query before appending — the append must leave an engine that
+          // answers like one built over the whole corpus.
           ASSERT_TRUE(grown->RankNeighbors(query, 3).ok());
           ASSERT_TRUE(grown->AppendTraces(tail, threads).ok());
 
